@@ -29,6 +29,7 @@ import (
 	"repro/internal/mlir/lower"
 	mlirparser "repro/internal/mlir/parser"
 	"repro/internal/mlir/passes"
+	"repro/internal/oracle"
 	"repro/internal/polybench"
 	"repro/internal/translate"
 )
@@ -353,6 +354,68 @@ func BenchmarkInterpGemm(b *testing.B) {
 			}
 		}
 		if err := flow.Execute(res.LLVM, "gemm", mems); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkInterpMLIRGemm runs the MLIR interpreter on pristine gemm MINI:
+// the oracle's reference execution and its per-unit MLIR re-check.
+func BenchmarkInterpMLIRGemm(b *testing.B) {
+	k := polybench.Get("gemm")
+	s, _ := k.SizeOf("MINI")
+	m := k.Build(s)
+	types := k.ArgTypes(s)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		bufs := make([]*mlir.MemBuf, len(types))
+		for j, t := range types {
+			bufs[j] = mlir.NewMemBuf(t)
+		}
+		if err := m.Interpret("gemm", bufs...); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkOracleCheckLLVM is one semantic-oracle check of the adapted LLVM
+// for gemm MINI: fresh memory, one LLVM interpreter run, and the
+// element-wise comparison against the reference.
+func BenchmarkOracleCheckLLVM(b *testing.B) {
+	k := polybench.Get("gemm")
+	s, _ := k.SizeOf("MINI")
+	h, err := oracle.New(k.Build(s), "gemm")
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := flow.AdaptorFlow(k.Build(s), "gemm", flow.Directives{}, hls.DefaultTarget())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := h.CheckLLVM(res.LLVM); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkOracleCheckMLIR is one semantic-oracle check of gemm MINI in its
+// structured MLIR form.
+func BenchmarkOracleCheckMLIR(b *testing.B) {
+	k := polybench.Get("gemm")
+	s, _ := k.SizeOf("MINI")
+	m := k.Build(s)
+	h, err := oracle.New(m, "gemm")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := h.CheckMLIR(m); err != nil {
 			b.Fatal(err)
 		}
 	}

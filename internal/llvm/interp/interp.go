@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/llvm"
 )
@@ -140,6 +141,8 @@ type Machine struct {
 
 	// ctx is the Run context, checked at block boundaries.
 	ctx context.Context
+	// progs holds the callees prepared during the current Run.
+	progs map[*llvm.Function]*prog
 }
 
 // NewMachine returns a machine for mod.
@@ -152,6 +155,9 @@ func NewMachine(mod *llvm.Module) *Machine {
 // honored cooperatively at basic-block boundaries — matching the pass
 // managers' interrupt contract — so a cancelled or timed-out caller
 // reclaims the machine at the next branch rather than after the run.
+//
+// Each Run prepares the functions it executes afresh (see prog), so the
+// module may be mutated between runs.
 func (mc *Machine) Run(ctx context.Context, name string, args ...Arg) (int64, float64, error) {
 	f := mc.Mod.FindFunc(name)
 	if f == nil {
@@ -165,503 +171,465 @@ func (mc *Machine) Run(ctx context.Context, name string, args ...Arg) (int64, fl
 		vals[i] = a.v
 	}
 	mc.ctx = ctx
-	r, err := mc.call(f, vals, 0)
+	r, err := mc.call(mc.prepare(f), vals, 0)
+	mc.progs = nil
 	return r.i, r.f, err
 }
 
-func (mc *Machine) call(f *llvm.Function, args []val, depth int) (val, error) {
+// frame is one activation: the register file and its defined-bitmap.
+type frame struct {
+	p    *prog
+	regs []val
+	def  []bool
+}
+
+// get reads a slot, trapping on a value no executed instruction defined.
+func (fr *frame) get(s int32) (val, error) {
+	if !fr.def[s] {
+		return val{}, fr.undef(s)
+	}
+	return fr.regs[s], nil
+}
+
+// get2 reads two slots in order, trapping like get.
+func (fr *frame) get2(a, b int32) (*val, *val, error) {
+	if !fr.def[a] {
+		return nil, nil, fr.undef(a)
+	}
+	if !fr.def[b] {
+		return nil, nil, fr.undef(b)
+	}
+	return &fr.regs[a], &fr.regs[b], nil
+}
+
+func (fr *frame) undef(s int32) error {
+	return trapf(TrapUndef, "use of undefined value %s", fr.p.ident(s))
+}
+
+func (fr *frame) set(s int32, v val) {
+	fr.regs[s] = v
+	fr.def[s] = true
+}
+
+func (mc *Machine) call(p *prog, args []val, depth int) (val, error) {
 	if depth > 100 {
-		return val{}, trapf(TrapCallDepth, "call depth exceeded in @%s", f.Name)
+		return val{}, trapf(TrapCallDepth, "call depth exceeded in @%s", p.f.Name)
 	}
-	env := map[llvm.Value]val{}
-	for i, p := range f.Params {
-		env[p] = args[i]
+	if len(p.blocks) == 0 {
+		return val{}, fmt.Errorf("interp: @%s has no body", p.f.Name)
 	}
-	blk := f.Entry()
-	var prev *llvm.Block
+	// The outermost activation runs in the template itself, which no one
+	// else sees (a recursive call into it prepares its own copy, see
+	// callee); nested activations run in a copy.
+	fr := &frame{p: p, regs: p.init, def: p.def}
+	if depth > 0 {
+		fr.regs, fr.def = slices.Clone(p.init), slices.Clone(p.def)
+	}
+	for i, s := range p.params {
+		fr.set(s, args[i])
+	}
+	var phiVals []val
+	cur, prev := int32(0), int32(noBlock)
 	for {
 		if mc.ctx != nil {
 			if err := mc.ctx.Err(); err != nil {
 				return val{}, err
 			}
 		}
+		blk := &p.blocks[cur]
 		// Phi nodes first, evaluated simultaneously.
-		var phiVals []val
-		var phis []*llvm.Instr
-		for _, in := range blk.Instrs {
-			if in.Op != llvm.OpPhi {
-				break
-			}
+		phiVals = phiVals[:0]
+		for i := range blk.phis {
+			ph := &blk.phis[i]
 			idx := -1
-			for i, b := range in.Blocks {
-				if b == prev {
-					idx = i
+			for j, from := range ph.from {
+				if from == prev {
+					idx = j
 					break
 				}
 			}
 			if idx < 0 {
 				return val{}, fmt.Errorf("interp: phi in %%%s has no incoming for %%%s",
-					blk.Name, blockName(prev))
+					blk.blk.Name, p.blockName(prev))
 			}
-			v, err := mc.eval(env, in.Args[idx])
+			v, err := fr.get(ph.args[idx])
 			if err != nil {
 				return val{}, err
 			}
-			phis = append(phis, in)
 			phiVals = append(phiVals, v)
 		}
-		for i, p := range phis {
-			env[p] = phiVals[i]
+		for i := range blk.phis {
+			ph := &blk.phis[i]
+			fr.set(ph.dst, phiVals[i])
 			if mc.Observe != nil {
-				mc.Observe(p, phiVals[i].i)
+				mc.Observe(ph.in, phiVals[i].i)
 			}
 		}
 
-		for _, in := range blk.Instrs[len(phis):] {
+		for i := range blk.code {
+			in := &blk.code[i]
 			mc.Fuel--
 			if mc.Fuel < 0 {
 				return val{}, ErrFuel
 			}
-			switch in.Op {
-			case llvm.OpBr:
-				prev, blk = blk, in.Blocks[0]
-			case llvm.OpCondBr:
-				c, err := mc.eval(env, in.Args[0])
+			switch in.op {
+			case opBr:
+				prev, cur = cur, in.b
+			case opCondBr:
+				c, err := fr.get(in.a)
 				if err != nil {
 					return val{}, err
 				}
 				if c.i != 0 {
-					prev, blk = blk, in.Blocks[0]
+					prev, cur = cur, in.b
 				} else {
-					prev, blk = blk, in.Blocks[1]
+					prev, cur = cur, in.c
 				}
-			case llvm.OpRet:
-				if len(in.Args) == 0 {
+			case opRet:
+				if in.a < 0 {
 					return val{}, nil
 				}
-				return mc.eval(env, in.Args[0])
-			case llvm.OpUnreachable:
-				return val{}, trapf(TrapUnreachable, "reached unreachable in @%s", f.Name)
+				return fr.get(in.a)
+			case opUnreachable:
+				return val{}, trapf(TrapUnreachable, "reached unreachable in @%s", p.f.Name)
 			default:
-				v, err := mc.exec(env, in, depth)
+				v, err := mc.exec(fr, in, depth)
 				if err != nil {
-					return val{}, fmt.Errorf("in @%s %%%s: %w", f.Name, in.Name, err)
+					return val{}, fmt.Errorf("in @%s %%%s: %w", p.f.Name, in.in.Name, err)
 				}
-				if in.HasResult() {
-					env[in] = v
+				if in.dst >= 0 {
+					fr.set(in.dst, v)
 					if mc.Observe != nil {
-						mc.Observe(in, v.i)
+						mc.Observe(in.in, v.i)
 					}
 				}
 			}
-			if in.IsTerminator() {
-				break
-			}
 		}
-		if blk == nil {
+		if cur < 0 {
 			return val{}, fmt.Errorf("interp: fell off block")
 		}
 	}
 }
 
-func blockName(b *llvm.Block) string {
-	if b == nil {
+// callee returns f prepared for a call at depth > 0, preparing it on first
+// use in this Run.
+func (mc *Machine) callee(f *llvm.Function) *prog {
+	if p := mc.progs[f]; p != nil {
+		return p
+	}
+	if mc.progs == nil {
+		mc.progs = map[*llvm.Function]*prog{}
+	}
+	p := mc.prepare(f)
+	mc.progs[f] = p
+	return p
+}
+
+func (p *prog) blockName(b int32) string {
+	if b < 0 {
 		return "<nil>"
 	}
-	return b.Name
+	return p.blocks[b].blk.Name
 }
 
-func (mc *Machine) eval(env map[llvm.Value]val, v llvm.Value) (val, error) {
-	switch c := v.(type) {
-	case *llvm.ConstInt:
-		return val{i: c.Val}, nil
-	case *llvm.ConstFloat:
-		return val{f: c.Val}, nil
-	case *llvm.Undef:
-		return val{}, nil
-	}
-	x, ok := env[v]
-	if !ok {
-		return val{}, trapf(TrapUndef, "use of undefined value %s", v.Ident())
-	}
-	return x, nil
-}
-
-func (mc *Machine) exec(env map[llvm.Value]val, in *llvm.Instr, depth int) (val, error) {
-	ev := func(i int) (val, error) { return mc.eval(env, in.Args[i]) }
-
-	switch in.Op {
-	case llvm.OpAdd, llvm.OpSub, llvm.OpMul, llvm.OpSDiv, llvm.OpSRem,
-		llvm.OpAnd, llvm.OpOr, llvm.OpXor, llvm.OpShl, llvm.OpLShr, llvm.OpAShr:
-		l, err := ev(0)
-		if err != nil {
-			return val{}, err
-		}
-		r, err := ev(1)
+// exec runs one non-terminator instruction.
+func (mc *Machine) exec(fr *frame, in *pinstr, depth int) (val, error) {
+	switch in.op {
+	case opAdd, opSub, opMul, opSDiv, opSRem, opAnd, opOr, opXor, opShl, opLShr, opAShr:
+		l, r, err := fr.get2(in.a, in.b)
 		if err != nil {
 			return val{}, err
 		}
 		var x int64
-		switch in.Op {
-		case llvm.OpAdd:
+		switch in.op {
+		case opAdd:
 			x = l.i + r.i
-		case llvm.OpSub:
+		case opSub:
 			x = l.i - r.i
-		case llvm.OpMul:
+		case opMul:
 			x = l.i * r.i
-		case llvm.OpSDiv:
+		case opSDiv:
 			if r.i == 0 {
 				return val{}, trapf(TrapDivZero, "sdiv by zero")
 			}
 			x = l.i / r.i
-		case llvm.OpSRem:
+		case opSRem:
 			if r.i == 0 {
 				return val{}, trapf(TrapDivZero, "srem by zero")
 			}
 			x = l.i % r.i
-		case llvm.OpAnd:
+		case opAnd:
 			x = l.i & r.i
-		case llvm.OpOr:
+		case opOr:
 			x = l.i | r.i
-		case llvm.OpXor:
+		case opXor:
 			x = l.i ^ r.i
-		case llvm.OpShl:
+		case opShl:
 			x = l.i << uint(r.i)
-		case llvm.OpLShr:
+		case opLShr:
 			// Logical shift acts on the type-width unsigned value: clear the
 			// sign-extended high bits first, then shift in zeros.
-			u := uint64(l.i)
-			if t := in.Ty; t != nil && t.IsInt() && t.Bits < 64 {
-				u &= (uint64(1) << uint(t.Bits)) - 1
-			}
-			x = int64(u >> uint(r.i))
-		case llvm.OpAShr:
+			x = int64(uint64(l.i&in.imm) >> uint(r.i))
+		case opAShr:
 			x = l.i >> uint(r.i)
 		}
-		return val{i: truncInt(x, in.Ty)}, nil
+		return val{i: x << in.shift >> in.shift}, nil
 
-	case llvm.OpFAdd, llvm.OpFSub, llvm.OpFMul, llvm.OpFDiv:
-		l, err := ev(0)
-		if err != nil {
-			return val{}, err
-		}
-		r, err := ev(1)
+	case opFAdd, opFSub, opFMul, opFDiv:
+		l, r, err := fr.get2(in.a, in.b)
 		if err != nil {
 			return val{}, err
 		}
 		var x float64
-		switch in.Op {
-		case llvm.OpFAdd:
+		switch in.op {
+		case opFAdd:
 			x = l.f + r.f
-		case llvm.OpFSub:
+		case opFSub:
 			x = l.f - r.f
-		case llvm.OpFMul:
+		case opFMul:
 			x = l.f * r.f
-		case llvm.OpFDiv:
+		case opFDiv:
 			x = l.f / r.f
 		}
-		return val{f: roundFP(x, in.Ty)}, nil
+		return val{f: in.round(x)}, nil
 
-	case llvm.OpFNeg:
-		x, err := ev(0)
+	case opFNeg:
+		x, err := fr.get(in.a)
 		if err != nil {
 			return val{}, err
 		}
 		return val{f: -x.f}, nil
 
-	case llvm.OpICmp:
-		l, err := ev(0)
+	case opICmp, opFCmp:
+		l, r, err := fr.get2(in.a, in.b)
 		if err != nil {
 			return val{}, err
 		}
-		r, err := ev(1)
-		if err != nil {
-			return val{}, err
+		switch {
+		case in.pred == predUnknown:
+			return val{}, in.predError()
+		case in.op == opICmp:
+			return val{i: b2i(icmp(in.pred, l.i, r.i))}, nil
 		}
-		return val{i: b2i(icmp(in.Pred, l.i, r.i))}, nil
+		return val{i: b2i(fcmp(in.pred, l.f, r.f))}, nil
 
-	case llvm.OpFCmp:
-		l, err := ev(0)
-		if err != nil {
-			return val{}, err
-		}
-		r, err := ev(1)
-		if err != nil {
-			return val{}, err
-		}
-		return val{i: b2i(fcmp(in.Pred, l.f, r.f))}, nil
-
-	case llvm.OpSelect:
-		c, err := ev(0)
+	case opSelect:
+		c, err := fr.get(in.a)
 		if err != nil {
 			return val{}, err
 		}
 		if c.i != 0 {
-			return ev(1)
+			return fr.get(in.b)
 		}
-		return ev(2)
+		return fr.get(in.c)
 
-	case llvm.OpZExt:
-		x, err := ev(0)
+	case opIntCast:
+		x, err := fr.get(in.a)
 		if err != nil {
 			return val{}, err
 		}
-		// Zero-extension must clear high bits of the (sign-represented)
-		// source value.
-		if t := in.Args[0].Type(); t.IsInt() && t.Bits < 64 {
-			x.i &= (int64(1) << uint(t.Bits)) - 1
-		}
-		return val{i: x.i}, nil
+		return val{i: x.i & in.imm << in.shift >> in.shift}, nil
 
-	case llvm.OpSExt:
-		x, err := ev(0)
+	case opSIToFP:
+		x, err := fr.get(in.a)
 		if err != nil {
 			return val{}, err
 		}
-		return val{i: x.i}, nil
+		return val{f: in.round(float64(x.i))}, nil
 
-	case llvm.OpTrunc:
-		x, err := ev(0)
-		if err != nil {
-			return val{}, err
-		}
-		return val{i: truncInt(x.i, in.Ty)}, nil
-
-	case llvm.OpSIToFP:
-		x, err := ev(0)
-		if err != nil {
-			return val{}, err
-		}
-		return val{f: roundFP(float64(x.i), in.Ty)}, nil
-
-	case llvm.OpFPToSI:
-		x, err := ev(0)
+	case opFPToSI:
+		x, err := fr.get(in.a)
 		if err != nil {
 			return val{}, err
 		}
 		return val{i: int64(x.f)}, nil
 
-	case llvm.OpFPExt:
-		return ev(0)
-
-	case llvm.OpFPTrunc:
-		x, err := ev(0)
+	case opFPTrunc:
+		x, err := fr.get(in.a)
 		if err != nil {
 			return val{}, err
 		}
-		return val{f: roundFP(x.f, in.Ty)}, nil
+		return val{f: in.round(x.f)}, nil
 
-	case llvm.OpBitcast, llvm.OpIntToPtr, llvm.OpPtrToInt:
-		return ev(0)
+	case opMove:
+		return fr.get(in.a)
 
-	case llvm.OpAlloca:
-		return val{mem: NewMem(in.SrcElem.SizeBytes())}, nil
+	case opAlloca:
+		return val{mem: NewMem(in.imm)}, nil
 
-	case llvm.OpGEP:
-		base, err := ev(0)
+	case opGEP:
+		base, err := fr.get(in.a)
 		if err != nil {
 			return val{}, err
 		}
 		if base.mem == nil {
 			return val{}, trapf(TrapNilPtr, "gep on non-pointer value")
 		}
-		off := base.off
-		t := in.SrcElem
-		for k := 1; k < len(in.Args); k++ {
-			idx, err := ev(k)
+		off := base.off + in.imm
+		for k, s := range in.x.args {
+			idx, err := fr.get(s)
 			if err != nil {
 				return val{}, err
 			}
-			if k == 1 {
-				off += idx.i * t.SizeBytes()
-				continue
-			}
-			switch {
-			case t.IsArray():
-				t = t.Elem
-				off += idx.i * t.SizeBytes()
-			case t.IsStruct():
-				fi := idx.i
-				for j := int64(0); j < fi; j++ {
-					off += t.Fields[j].SizeBytes()
-				}
-				t = t.Fields[fi]
-			default:
-				return val{}, fmt.Errorf("gep steps through scalar type")
-			}
+			off += idx.i * in.x.strides[k]
+		}
+		if in.x.err != "" {
+			return val{}, errors.New(in.x.err)
 		}
 		return val{mem: base.mem, off: off}, nil
 
-	case llvm.OpLoad:
-		p, err := ev(0)
+	case opLoad:
+		p, err := fr.get(in.a)
 		if err != nil {
 			return val{}, err
 		}
-		return loadTyped(p, in.SrcElem)
+		return load(p, in)
 
-	case llvm.OpStore:
-		v, err := ev(0)
+	case opStore:
+		v, p, err := fr.get2(in.a, in.b)
 		if err != nil {
 			return val{}, err
 		}
-		p, err := ev(1)
-		if err != nil {
-			return val{}, err
-		}
-		return val{}, storeTyped(p, in.Args[0].Type(), v)
+		return val{}, store(*p, in, *v)
 
-	case llvm.OpExtractValue:
+	case opExtractValue:
 		// Aggregates are modeled as pointers here; extractvalue appears only
 		// in descriptor manipulation which the flows do not execute.
 		return val{}, fmt.Errorf("extractvalue is not executable in this model")
 
-	case llvm.OpCall:
-		return mc.execCall(env, in, depth)
+	case opCall:
+		return mc.execCall(fr, in, depth)
 
-	case llvm.OpPhi:
+	case opPhi:
 		return val{}, fmt.Errorf("phi executed out of order")
 	}
-	return val{}, fmt.Errorf("unsupported opcode %s", in.Op)
+	return val{}, fmt.Errorf("unsupported opcode %s", in.in.Op)
 }
 
-func (mc *Machine) execCall(env map[llvm.Value]val, in *llvm.Instr, depth int) (val, error) {
-	args := make([]val, len(in.Args))
-	for i := range in.Args {
-		v, err := mc.eval(env, in.Args[i])
+// round rounds a float result through float32 when the result type is f32.
+func (in *pinstr) round(x float64) float64 {
+	if in.f32 {
+		return float64(float32(x))
+	}
+	return x
+}
+
+func (mc *Machine) execCall(fr *frame, in *pinstr, depth int) (val, error) {
+	args := make([]val, len(in.x.args))
+	for i, s := range in.x.args {
+		v, err := fr.get(s)
 		if err != nil {
 			return val{}, err
 		}
 		args[i] = v
 	}
-	switch in.Callee {
-	case "llvm.sqrt.f64", "sqrt":
+	callee := in.in.Callee
+	switch in.intr {
+	case callSqrt:
 		return val{f: math.Sqrt(args[0].f)}, nil
-	case "llvm.sqrt.f32", "sqrtf":
+	case callSqrtF:
 		return val{f: float64(float32(math.Sqrt(args[0].f)))}, nil
-	case "llvm.exp.f64", "exp":
+	case callExp:
 		return val{f: math.Exp(args[0].f)}, nil
-	case "llvm.exp.f32", "expf":
+	case callExpF:
 		return val{f: float64(float32(math.Exp(args[0].f)))}, nil
-	case "llvm.fmuladd.f64", "fma":
+	case callFma:
 		return val{f: args[0].f*args[1].f + args[2].f}, nil
-	case "llvm.fmuladd.f32", "fmaf":
+	case callFmaF:
 		return val{f: float64(float32(args[0].f*args[1].f + args[2].f))}, nil
-	case "llvm.fabs.f64", "fabs":
+	case callFabs:
 		return val{f: math.Abs(args[0].f)}, nil
-	case "llvm.fabs.f32", "fabsf":
+	case callFabsF:
 		return val{f: float64(float32(math.Abs(args[0].f)))}, nil
-	case "malloc":
+	case callMalloc:
 		return val{mem: NewMem(args[0].i)}, nil
-	case "free", "llvm.lifetime.start.p0", "llvm.lifetime.end.p0":
+	case callNop:
 		return val{}, nil
-	case "llvm.memset.p0.i64", "memset":
+	case callMemset:
 		m, off, n := args[0].mem, args[0].off, args[2].i
 		if m == nil {
-			return val{}, trapf(TrapNilPtr, "%s through nil pointer", in.Callee)
+			return val{}, trapf(TrapNilPtr, "%s through nil pointer", callee)
 		}
 		if off < 0 || off+n > int64(len(m.Bytes)) {
-			return val{}, trapf(TrapOOB, "%s out of bounds (off %d, n %d, alloc %d)", in.Callee, off, n, len(m.Bytes))
+			return val{}, trapf(TrapOOB, "%s out of bounds (off %d, n %d, alloc %d)", callee, off, n, len(m.Bytes))
 		}
 		for i := int64(0); i < n; i++ {
 			m.Bytes[off+i] = byte(args[1].i)
 		}
 		return val{}, nil
-	case "llvm.memcpy.p0.p0.i64", "memcpy":
+	case callMemcpy:
 		dst, src, n := args[0], args[1], args[2].i
 		if dst.mem == nil || src.mem == nil {
-			return val{}, trapf(TrapNilPtr, "%s through nil pointer", in.Callee)
+			return val{}, trapf(TrapNilPtr, "%s through nil pointer", callee)
 		}
 		if dst.off < 0 || dst.off+n > int64(len(dst.mem.Bytes)) ||
 			src.off < 0 || src.off+n > int64(len(src.mem.Bytes)) {
-			return val{}, trapf(TrapOOB, "%s out of bounds (n %d)", in.Callee, n)
+			return val{}, trapf(TrapOOB, "%s out of bounds (n %d)", callee, n)
 		}
 		copy(dst.mem.Bytes[dst.off:dst.off+n], src.mem.Bytes[src.off:src.off+n])
 		return val{}, nil
 	}
-	callee := mc.Mod.FindFunc(in.Callee)
-	if callee == nil || callee.IsDecl {
-		return val{}, fmt.Errorf("call to unknown function @%s", in.Callee)
+	if f := in.x.callee; f != nil && !f.IsDecl {
+		return mc.call(mc.callee(f), args, depth+1)
 	}
-	return mc.call(callee, args, depth+1)
+	return val{}, fmt.Errorf("call to unknown function @%s", callee)
 }
 
-func loadTyped(p val, t *llvm.Type) (val, error) {
+func load(p val, in *pinstr) (val, error) {
 	if p.mem == nil {
 		return val{}, trapf(TrapNilPtr, "load through nil pointer")
 	}
 	b := p.mem.Bytes
 	o := p.off
-	if o < 0 || o+t.SizeBytes() > int64(len(b)) {
-		return val{}, trapf(TrapOOB, "load out of bounds (off %d, size %d, alloc %d)", o, t.SizeBytes(), len(b))
+	if o < 0 || o+in.imm > int64(len(b)) {
+		return val{}, trapf(TrapOOB, "load out of bounds (off %d, size %d, alloc %d)", o, in.imm, len(b))
 	}
-	switch {
-	case t.Kind == llvm.KindFloat:
+	switch in.mem {
+	case memF32:
 		return val{f: float64(math.Float32frombits(binary.LittleEndian.Uint32(b[o:])))}, nil
-	case t.Kind == llvm.KindDouble:
+	case memF64:
 		return val{f: math.Float64frombits(binary.LittleEndian.Uint64(b[o:]))}, nil
-	case t.IsInt():
-		switch t.SizeBytes() {
-		case 1:
-			return val{i: int64(int8(b[o]))}, nil
-		case 2:
-			return val{i: int64(int16(binary.LittleEndian.Uint16(b[o:])))}, nil
-		case 4:
-			return val{i: int64(int32(binary.LittleEndian.Uint32(b[o:])))}, nil
-		default:
-			return val{i: int64(binary.LittleEndian.Uint64(b[o:]))}, nil
-		}
+	case memI8:
+		return val{i: int64(int8(b[o]))}, nil
+	case memI16:
+		return val{i: int64(int16(binary.LittleEndian.Uint16(b[o:])))}, nil
+	case memI32:
+		return val{i: int64(int32(binary.LittleEndian.Uint32(b[o:])))}, nil
+	case memI64:
+		return val{i: int64(binary.LittleEndian.Uint64(b[o:]))}, nil
 	}
-	return val{}, fmt.Errorf("load of unsupported type %s", t)
+	return val{}, fmt.Errorf("load of unsupported type %s", in.in.SrcElem)
 }
 
-func storeTyped(p val, t *llvm.Type, v val) error {
+func store(p val, in *pinstr, v val) error {
 	if p.mem == nil {
 		return trapf(TrapNilPtr, "store through nil pointer")
 	}
 	b := p.mem.Bytes
 	o := p.off
-	if o < 0 || o+t.SizeBytes() > int64(len(b)) {
-		return trapf(TrapOOB, "store out of bounds (off %d, size %d, alloc %d)", o, t.SizeBytes(), len(b))
+	if o < 0 || o+in.imm > int64(len(b)) {
+		return trapf(TrapOOB, "store out of bounds (off %d, size %d, alloc %d)", o, in.imm, len(b))
 	}
-	switch {
-	case t.Kind == llvm.KindFloat:
+	switch in.mem {
+	case memF32:
 		binary.LittleEndian.PutUint32(b[o:], math.Float32bits(float32(v.f)))
-		return nil
-	case t.Kind == llvm.KindDouble:
+	case memF64:
 		binary.LittleEndian.PutUint64(b[o:], math.Float64bits(v.f))
-		return nil
-	case t.IsInt():
-		switch t.SizeBytes() {
-		case 1:
-			b[o] = byte(v.i)
-		case 2:
-			binary.LittleEndian.PutUint16(b[o:], uint16(v.i))
-		case 4:
-			binary.LittleEndian.PutUint32(b[o:], uint32(v.i))
-		default:
-			binary.LittleEndian.PutUint64(b[o:], uint64(v.i))
-		}
-		return nil
-	case t.IsPtr():
+	case memI8:
+		b[o] = byte(v.i)
+	case memI16:
+		binary.LittleEndian.PutUint16(b[o:], uint16(v.i))
+	case memI32:
+		binary.LittleEndian.PutUint32(b[o:], uint32(v.i))
+	case memI64:
+		binary.LittleEndian.PutUint64(b[o:], uint64(v.i))
+	case memPtr:
 		// Pointers are not persisted to memory in this model.
 		return fmt.Errorf("storing pointers to memory is unsupported")
+	default:
+		return fmt.Errorf("store of unsupported type %s", in.in.Args[0].Type())
 	}
-	return fmt.Errorf("store of unsupported type %s", t)
-}
-
-func truncInt(x int64, t *llvm.Type) int64 {
-	if t == nil || !t.IsInt() || t.Bits >= 64 {
-		return x
-	}
-	shift := uint(64 - t.Bits)
-	return x << shift >> shift
-}
-
-func roundFP(x float64, t *llvm.Type) float64 {
-	if t != nil && t.Kind == llvm.KindFloat {
-		return float64(float32(x))
-	}
-	return x
+	return nil
 }
 
 func b2i(b bool) int64 {
@@ -671,50 +639,69 @@ func b2i(b bool) int64 {
 	return 0
 }
 
-func icmp(pred string, l, r int64) bool {
-	switch pred {
-	case "eq":
+func icmp(p pred, l, r int64) bool {
+	switch p {
+	case predEQ:
 		return l == r
-	case "ne":
+	case predNE:
 		return l != r
-	case "slt":
+	case predSLT:
 		return l < r
-	case "sle":
+	case predSLE:
 		return l <= r
-	case "sgt":
+	case predSGT:
 		return l > r
-	case "sge":
+	case predSGE:
 		return l >= r
-	case "ult":
+	case predULT:
 		return uint64(l) < uint64(r)
-	case "ule":
+	case predULE:
 		return uint64(l) <= uint64(r)
-	case "ugt":
+	case predUGT:
 		return uint64(l) > uint64(r)
-	case "uge":
+	case predUGE:
 		return uint64(l) >= uint64(r)
 	}
 	return false
 }
 
-func fcmp(pred string, l, r float64) bool {
-	switch pred {
-	case "oeq":
+// fcmp implements LLVM's sixteen fcmp predicates. Ordered predicates are
+// false when either operand is NaN; unordered ones are true.
+func fcmp(p pred, l, r float64) bool {
+	uno := math.IsNaN(l) || math.IsNaN(r)
+	switch p {
+	case predFalse:
+		return false
+	case predOEQ:
 		return l == r
-	case "one":
-		return l != r
-	case "olt":
-		return l < r
-	case "ole":
-		return l <= r
-	case "ogt":
+	case predOGT:
 		return l > r
-	case "oge":
+	case predOGE:
 		return l >= r
-	case "ord":
-		return !math.IsNaN(l) && !math.IsNaN(r)
-	case "uno":
-		return math.IsNaN(l) || math.IsNaN(r)
+	case predOLT:
+		return l < r
+	case predOLE:
+		return l <= r
+	case predONE:
+		return !uno && l != r
+	case predORD:
+		return !uno
+	case predUEQ:
+		return uno || l == r
+	case predFUGT:
+		return uno || l > r
+	case predFUGE:
+		return uno || l >= r
+	case predFULT:
+		return uno || l < r
+	case predFULE:
+		return uno || l <= r
+	case predUNE:
+		return l != r
+	case predUNO:
+		return uno
+	case predTrue:
+		return true
 	}
 	return false
 }

@@ -5,6 +5,7 @@ package parser
 
 import (
 	"fmt"
+	"strconv"
 )
 
 type tokKind int
@@ -80,12 +81,23 @@ func lex(src string) ([]token, error) {
 			}
 			toks = append(toks, token{tMDRef, readName(), line})
 		case c == '"':
-			i++
+			// The printer quotes attribute strings with %q: honor its
+			// backslash escapes so an escaped quote does not end the string.
 			start := i
+			i++
 			for i < n && src[i] != '"' {
+				if src[i] == '\\' {
+					i++
+				}
 				i++
 			}
-			toks = append(toks, token{tString, src[start:i], line})
+			text := src[start+1 : min(i, n)]
+			if i < n {
+				if s, err := strconv.Unquote(src[start : i+1]); err == nil {
+					text = s
+				}
+			}
+			toks = append(toks, token{tString, text, line})
 			i++
 		case isLetter(c):
 			toks = append(toks, token{tIdent, readName(), line})

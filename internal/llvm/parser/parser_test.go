@@ -133,6 +133,27 @@ func TestParseAttrsSurvive(t *testing.T) {
 	}
 }
 
+func TestParseEscapedAttrValues(t *testing.T) {
+	// translate records partition directives as quoted lists; the printer
+	// escapes the quotes, and the parser must read them back.
+	m := llvm.NewModule("t")
+	f := llvm.NewFunction("f", llvm.Void())
+	m.AddFunc(f)
+	want := map[string]string{"hls.array_partition.arg0": `["cyclic", 2, 0]`, "path": `a\b`}
+	for k, v := range want {
+		f.SetAttr(k, v)
+	}
+	b := llvm.NewBuilder(f)
+	b.SetBlock(f.AddBlock("entry"))
+	b.Ret(nil)
+	got := roundTrip(t, m).FindFunc("f").Attrs
+	for k, v := range want {
+		if got[k] != v {
+			t.Errorf("attribute %s after round trip = %q, want %q", k, got[k], v)
+		}
+	}
+}
+
 func TestParseErrors(t *testing.T) {
 	cases := []struct{ name, src string }{
 		{"garbage", "hello world"},
