@@ -7,42 +7,40 @@
 //     (Vitis Clang stand-in) → HLS synthesis.
 //   - RawFlow: translation without the adaptor, to demonstrate the gate
 //     failure the adaptor exists to fix.
+//
+// Each flow is one ordered list of pipeline units (pipeline.go), executed
+// by one runner that applies the cross-cutting concerns — recovery guard,
+// fault hook, observer, memoization, verify-each, oracle, timing — to
+// every unit alike.
 package flow
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"time"
 
-	"repro/internal/cfront"
-	"repro/internal/cgen"
 	"repro/internal/core"
 	"repro/internal/hls"
 	"repro/internal/incr"
-	"repro/internal/lint"
 	"repro/internal/llvm"
 	"repro/internal/llvm/interp"
-	lpasses "repro/internal/llvm/passes"
 	"repro/internal/mlir"
-	"repro/internal/mlir/lower"
 	"repro/internal/mlir/passes"
 	"repro/internal/resilience"
-	"repro/internal/translate"
 )
 
 // Options tunes how a flow runs beyond the HLS directives.
 type Options struct {
-	// VerifyEach re-checks the IR invariants after every pass of both pass
-	// managers (verifier plus the lint invariant subset), and additionally
-	// at each inter-layer boundary (post-translate, post-adaptor, post-C-
-	// frontend). A violation fails the flow naming the offending pass or
-	// boundary — the -verify-each flag of the cmd tools.
+	// VerifyEach re-checks the IR invariants after every mlir-opt and
+	// llvm-opt pass (verifier plus the lint invariant subset), and
+	// additionally at each inter-layer boundary (post-translate,
+	// post-adaptor, post-C-frontend). A violation fails the flow naming
+	// the offending pass or boundary — the -verify-each flag of the cmd
+	// tools.
 	VerifyEach bool
 
 	// Ctx, when non-nil, is checked cooperatively at every pipeline-unit
-	// boundary (each pass of both pass managers, plus every inter-stage
-	// boundary): once done, the flow stops at the next boundary with a
+	// boundary: once done, the flow stops at the next boundary with a
 	// typed timeout/cancellation failure instead of running to completion
 	// in a leaked goroutine.
 	Ctx context.Context
@@ -122,21 +120,11 @@ type Options struct {
 	// disjoint record chains.
 	IncrSeed string
 
-	// ParallelFuncs fans function-local passes across a module's
-	// functions concurrently in both pass managers. Off by default; the
-	// kernel suite is single-function, so this pays off only for
-	// multi-function modules.
-	ParallelFuncs bool
-
-	// sem is the constructed per-run oracle, populated by the flow entry
-	// points when VerifySemantics is set and shared across the run's
-	// stages (including the degraded C++ rerun, whose kernel has the same
-	// reference semantics).
+	// sem is the constructed per-run oracle, populated by newPipeline when
+	// VerifySemantics is set and shared across the run's stages (including
+	// the degraded C++ rerun, whose kernel has the same reference
+	// semantics).
 	sem *semOracle
-
-	// memo is the per-run incremental cursor, populated by the flow entry
-	// points when memoEnabled; nil disables memoization for the run.
-	memo *memoRun
 }
 
 // Directives selects the HLS optimization configuration applied before the
@@ -184,285 +172,16 @@ type Result struct {
 	UnitHits, UnitMisses int
 }
 
-// mlirPrep runs the shared MLIR-level preparation. flowName tags the
-// resilience hooks so fault injection can target one flow's run of the
-// shared MLIR stage.
-func mlirPrep(m *mlir.Module, top string, d Directives, materializeUnroll bool, flowName string, opts Options) error {
-	pm := passes.NewPassManager()
-	pm.Ctx = opts.Ctx
-	pm.Isolate = opts.Isolate
-	pm.Parallel = opts.ParallelFuncs
-	if opts.memo != nil {
-		mat := mlirMaterializer(m)
-		pm.Wrap = func(passName, params string, run func() error) (bool, error) {
-			return opts.memo.do(step{
-				stage: "mlir-opt", pass: passName, params: params,
-				materialize: mat, print: m.Print,
-			}, run)
-		}
-	}
-	if opts.Observer != nil || opts.FaultHook != nil {
-		pm.BeforePass = func(name string, mm *mlir.Module) {
-			if opts.Observer != nil {
-				opts.Observer("mlir-opt", name, mm.Print())
-			}
-			if opts.FaultHook != nil {
-				opts.FaultHook(flowName, "mlir-opt", name)
-			}
-		}
-	}
-	if opts.VerifyEach || opts.sem != nil {
-		pm.AfterPass = func(name string, mm *mlir.Module) error {
-			if opts.VerifyEach {
-				if err := lint.MLIRInvariants(mm); err != nil {
-					return err
-				}
-			}
-			return opts.sem.afterMLIR("mlir-opt", name, mm)
-		}
-	}
-	pm.Add(passes.MarkTop(top))
-	if d.Pipeline {
-		ii := d.II
-		if ii <= 0 {
-			ii = 1
-		}
-		pm.Add(passes.PipelineInnermost(ii))
-	}
-	if d.Unroll > 1 {
-		pm.Add(passes.MarkUnroll(d.Unroll))
-		if materializeUnroll {
-			pm.Add(passes.LoopUnroll(0, true))
-		}
-	}
-	if d.Partition != nil {
-		pm.Add(passes.PartitionAllArgs(*d.Partition))
-	}
-	if d.Flatten {
-		pm.Add(passes.MarkFlatten())
-	}
-	if d.Dataflow {
-		pm.Add(passes.MarkDataflow(top))
-	}
-	pm.Add(passes.Canonicalize(), passes.CSE())
-	return pm.Run(m)
-}
-
-// boundaryCheck runs the inter-layer invariant check under VerifyEach: the
-// module verifier plus the lint invariant subset, attributed to the named
-// flow boundary (typed under Isolate so bisection can pin it).
-func boundaryCheck(opts Options, where string, lm *llvm.Module) error {
-	if !opts.VerifyEach {
-		return nil
-	}
-	if err := lm.Verify(); err != nil {
-		if opts.Isolate {
-			return resilience.NewFailure(where, where, resilience.KindVerify, err)
-		}
-		return fmt.Errorf("verification after %s: %w", where, err)
-	}
-	if err := lint.Invariants(lm); err != nil {
-		if opts.Isolate {
-			return resilience.NewFailure(where, where, resilience.KindVerify, err)
-		}
-		return fmt.Errorf("invariant violation after %s: %w", where, err)
-	}
-	return nil
-}
-
-// unit runs one named pipeline unit under the options' resilience policy:
-// cooperative context check at the boundary, snapshot/fault hooks inside
-// the recovery boundary, panic isolation when requested. snap renders the
-// IR entering the unit for the Observer (nil when there is none).
-func unit(opts Options, flowName, stage, pass string, snap func() string, fn func() error) error {
-	if err := resilience.Interrupted(opts.Ctx, stage, pass); err != nil {
-		return err
-	}
-	body := func() error {
-		if opts.Observer != nil && snap != nil {
-			opts.Observer(stage, pass, snap())
-		}
-		if opts.FaultHook != nil {
-			opts.FaultHook(flowName, stage, pass)
-		}
-		return fn()
-	}
-	if opts.Isolate {
-		return resilience.Guard(stage, pass, body)
-	}
-	return body()
-}
-
-// prepareLLVM runs the adaptor flow's front half — MLIR preparation,
-// lowering, translation, adaptation, LLVM cleanup — producing the module
-// synthesis would consume. phase wraps each stage for timing; adaptorRep
-// receives the adaptor report when non-nil.
-func prepareLLVM(m *mlir.Module, top string, d Directives, opts Options,
-	phase func(name string, fn func() error) error, adaptorRep **core.Report) (*llvm.Module, error) {
-
-	const flowName = "adaptor"
-	mlirSnap := func() string { return m.Print() }
-	if err := phase("mlir-opt", func() error { return mlirPrep(m, top, d, true, flowName, opts) }); err != nil {
-		return nil, err
-	}
-	mlirMat := mlirMaterializer(m)
-	if err := phase("lowering", func() error {
-		if err := memoUnit(opts, flowName,
-			step{stage: "lowering", pass: "affine-to-scf", materialize: mlirMat, print: m.Print},
-			mlirSnap, func() error {
-				if err := lower.AffineToSCF(m); err != nil {
-					return err
-				}
-				return opts.sem.afterMLIR("lowering", "affine-to-scf", m)
-			}); err != nil {
-			return err
-		}
-		return memoUnit(opts, flowName,
-			step{stage: "lowering", pass: "scf-to-cf", materialize: mlirMat, print: m.Print},
-			mlirSnap, func() error {
-				if err := lower.SCFToCF(m); err != nil {
-					return err
-				}
-				return opts.sem.afterMLIR("lowering", "scf-to-cf", m)
-			})
-	}); err != nil {
-		return nil, err
-	}
-	var lm *llvm.Module
-	llvmSnap := func() string { return lm.Print() }
-	llvmMat := llvmMaterializer(&lm)
-	if err := phase("translate", func() error {
-		return memoUnit(opts, flowName,
-			step{stage: "translate", pass: "translate", materialize: mlirMat, print: llvmSnap},
-			mlirSnap, func() error {
-				var err error
-				lm, err = translate.Translate(m, translate.Options{EmitLifetimeMarkers: true})
-				if err != nil {
-					return err
-				}
-				if err := boundaryCheck(opts, "translate", lm); err != nil {
-					return err
-				}
-				return opts.sem.afterLLVM("translate", "translate", lm)
-			})
-	}); err != nil {
-		return nil, err
-	}
-	if err := phase("adaptor", func() error {
-		return memoUnit(opts, flowName,
-			step{stage: "adaptor", pass: "adaptor", materialize: llvmMat, print: llvmSnap,
-				auxOut: func() (json.RawMessage, error) {
-					if adaptorRep == nil || *adaptorRep == nil {
-						return nil, nil
-					}
-					return json.Marshal(*adaptorRep)
-				},
-				auxIn: func(rec incr.Record) error {
-					if adaptorRep == nil {
-						return nil
-					}
-					if len(rec.Aux) == 0 {
-						return fmt.Errorf("record lacks adaptor report")
-					}
-					rep := new(core.Report)
-					if err := json.Unmarshal(rec.Aux, rep); err != nil {
-						return err
-					}
-					*adaptorRep = rep
-					return nil
-				}},
-			llvmSnap, func() error {
-				rep, err := core.Adapt(lm, core.Options{TopFunc: top})
-				if adaptorRep != nil {
-					*adaptorRep = rep
-				}
-				if err != nil {
-					return err
-				}
-				if err := boundaryCheck(opts, "adaptor", lm); err != nil {
-					return err
-				}
-				return opts.sem.afterLLVM("adaptor", "adaptor", lm)
-			})
-	}); err != nil {
-		return nil, err
-	}
-	if err := phase("llvm-opt", func() error {
-		pm := lpasses.NewPassManager().Add(
-			lpasses.PassSimplifyCFG,
-			lpasses.PassConstFold,
-			lpasses.PassStrengthReduce,
-			lpasses.PassCSE,
-			lpasses.PassDCE,
-		)
-		pm.Ctx = opts.Ctx
-		pm.Isolate = opts.Isolate
-		pm.Parallel = opts.ParallelFuncs
-		if opts.memo != nil {
-			if lm == nil {
-				// Every upstream unit replayed; give the manager a module
-				// object to point at, filled in by materialization before
-				// the first pass that actually runs.
-				lm = &llvm.Module{}
-			}
-			pm.Wrap = func(passName string, run func() error) (bool, error) {
-				return opts.memo.do(step{
-					stage: "llvm-opt", pass: passName,
-					materialize: llvmMat, print: llvmSnap,
-				}, run)
-			}
-		}
-		if opts.Observer != nil || opts.FaultHook != nil {
-			pm.BeforePass = func(name string, mm *llvm.Module) {
-				if opts.Observer != nil {
-					opts.Observer("llvm-opt", name, mm.Print())
-				}
-				if opts.FaultHook != nil {
-					opts.FaultHook(flowName, "llvm-opt", name)
-				}
-			}
-		}
-		if opts.VerifyEach {
-			pm.VerifyEach = true
-			pm.Invariants = lint.Invariants
-		}
-		if opts.sem != nil {
-			pm.AfterPass = func(name string, mm *llvm.Module) error {
-				return opts.sem.afterLLVM("llvm-opt", name, mm)
-			}
-		}
-		return pm.Run(lm)
-	}); err != nil {
-		return nil, err
-	}
-	// The conformance gate is the adaptor flow's final static stage: every
-	// module leaving the pipeline must sit inside the old Vitis LLVM's
-	// accepted subset, or the adaptor has a bug. The gate always runs on
-	// the real module — a replayed tail is materialized first (and
-	// verified, mirroring the pass manager's end-of-pipeline verify the
-	// replay skipped), so warm runs cannot slip past a gate failure the
-	// cold run would have reported.
-	if opts.memo != nil {
-		if err := opts.memo.finalize(&lm, true); err != nil {
-			return nil, err
-		}
-	}
-	if err := conformanceGate(opts, lm); err != nil {
-		return nil, err
-	}
-	return lm, nil
-}
-
 // PrepareLLVM runs the adaptor flow up to (but not including) synthesis and
 // returns the cleaned LLVM module — the input the DSE feasibility pre-check
 // lints without paying for a schedule.
 func PrepareLLVM(m *mlir.Module, top string, d Directives) (*llvm.Module, error) {
-	noPhases := func(_ string, fn func() error) error { return fn() }
-	lm, err := prepareLLVM(m, top, d, Options{}, noPhases, nil)
-	if err != nil {
+	p, _ := newPipeline("adaptor", m, top, d, hls.Target{}, Options{}) // no oracle, so no error
+	units := p.units()
+	if err := p.prepareLLVM(units[:len(units)-1]); err != nil {
 		return nil, fmt.Errorf("prepare: %w", err)
 	}
-	return lm, nil
+	return p.lm, nil
 }
 
 // AdaptorFlow runs the paper's direct-IR flow end to end.
@@ -472,61 +191,20 @@ func AdaptorFlow(m *mlir.Module, top string, d Directives, tgt hls.Target) (*Res
 
 // AdaptorFlowWith is AdaptorFlow with explicit options.
 func AdaptorFlowWith(m *mlir.Module, top string, d Directives, tgt hls.Target, opts Options) (*Result, error) {
-	res := &Result{Flow: "adaptor", Phases: Phases{}}
 	t0 := time.Now()
-
-	phase := func(name string, fn func() error) error {
-		start := time.Now()
-		err := fn()
-		res.Phases[name] = time.Since(start)
-		return err
-	}
-
-	if opts.memoEnabled() {
-		opts.memo = newMemoRun(opts.incrStore(), "adaptor", top, opts, m)
-	}
-	if opts.VerifySemantics && opts.sem == nil {
-		if opts.memo != nil {
-			// Defer the reference execution: a fully replayed run never
-			// reaches a live check, so it never pays for one. A seeded
-			// cursor skipped the pristine print, so take the snapshot here.
-			pristine := opts.memo.bytes
-			if pristine == "" {
-				pristine = m.Print()
-			}
-			opts.sem = newLazySemOracle(pristine, top, opts)
-		} else {
-			sem, err := newSemOracle(m, top, opts)
-			if err != nil {
-				return nil, fmt.Errorf("adaptor flow: %w", err)
-			}
-			opts.sem = sem
-		}
-	}
-
-	lm, err := prepareLLVM(m, top, d, opts, phase, &res.Adaptor)
+	p, err := newPipeline("adaptor", m, top, d, tgt, opts)
 	if err != nil {
-		return degradeOrFail(opts, top, d, tgt, err)
+		return nil, fmt.Errorf("adaptor flow: %w", err)
 	}
-	if err := phase("synthesis", func() error {
-		return memoUnit(opts, "adaptor", synthesisStep(&lm, tgt, &res.Report),
-			func() string { return lm.Print() }, func() error {
-				rep, err := hls.Synthesize(lm, top, tgt)
-				res.Report = rep
-				if err != nil {
-					return err
-				}
-				return opts.sem.afterLLVM("synthesis", "synthesis", lm)
-			})
-	}); err != nil {
-		return degradeOrFail(opts, top, d, tgt, err)
+	units := p.units()
+	last := len(units) - 1
+	if err := p.prepareLLVM(units[:last]); err != nil {
+		return degradeOrFail(p.opts, top, d, tgt, err)
 	}
-	res.LLVM = lm
-	res.Total = time.Since(t0)
-	if opts.memo != nil {
-		res.UnitHits, res.UnitMisses = opts.memo.hits, opts.memo.misses
+	if err := p.run(units[last:]); err != nil {
+		return degradeOrFail(p.opts, top, d, tgt, err)
 	}
-	return res, nil
+	return p.result(t0), nil
 }
 
 // degradeOrFail implements graceful degradation: with a Fallback builder
@@ -549,9 +227,6 @@ func degradeOrFail(opts Options, top string, d Directives, tgt hls.Target, cause
 	}
 	fopts := opts
 	fopts.Fallback = nil
-	// The fallback rerun gets its own cursor (CxxFlowWith builds one under
-	// the cxx configuration); the adaptor run's cursor is meaningless to it.
-	fopts.memo = nil
 	res, err := CxxFlowWith(m2, top, d, tgt, fopts)
 	if err != nil {
 		return nil, fmt.Errorf("adaptor flow: %w (C++ fallback also failed: %v)", cause, err)
@@ -569,101 +244,23 @@ func CxxFlow(m *mlir.Module, top string, d Directives, tgt hls.Target) (*Result,
 
 // CxxFlowWith is CxxFlow with explicit options.
 func CxxFlowWith(m *mlir.Module, top string, d Directives, tgt hls.Target, opts Options) (*Result, error) {
-	res := &Result{Flow: "cxx", Phases: Phases{}}
 	t0 := time.Now()
-	phase := func(name string, fn func() error) error {
-		start := time.Now()
-		err := fn()
-		res.Phases[name] = time.Since(start)
-		return err
-	}
-
-	const flowName = "cxx"
-	if opts.memoEnabled() {
-		opts.memo = newMemoRun(opts.incrStore(), flowName, top, opts, m)
-	}
-	if opts.VerifySemantics && opts.sem == nil {
-		if opts.memo != nil {
-			pristine := opts.memo.bytes
-			if pristine == "" {
-				pristine = m.Print()
-			}
-			opts.sem = newLazySemOracle(pristine, top, opts)
-		} else {
-			sem, err := newSemOracle(m, top, opts)
-			if err != nil {
-				return nil, fmt.Errorf("cxx flow: %w", err)
-			}
-			opts.sem = sem
-		}
-	}
-	if err := phase("mlir-opt", func() error { return mlirPrep(m, top, d, false, flowName, opts) }); err != nil {
+	p, err := newPipeline("cxx", m, top, d, tgt, opts)
+	if err != nil {
 		return nil, fmt.Errorf("cxx flow: %w", err)
 	}
-	if err := phase("emit-hlscpp", func() error {
-		return memoUnit(opts, flowName,
-			step{stage: "emit-hlscpp", pass: "emit-hlscpp",
-				materialize: mlirMaterializer(m),
-				print:       func() string { return res.CSource },
-				auxIn: func(rec incr.Record) error {
-					res.CSource = rec.IR
-					return nil
-				}},
-			func() string { return m.Print() }, func() error {
-				src, err := cgen.Emit(m)
-				res.CSource = src
-				return err
-			})
-	}); err != nil {
+	if err := p.run(p.units()); err != nil {
 		return nil, fmt.Errorf("cxx flow: %w", err)
 	}
-	var lm *llvm.Module
-	if err := phase("c-frontend", func() error {
-		return memoUnit(opts, flowName,
-			// The C frontend consumes the emitted source directly, which
-			// the cursor and res.CSource both hold — nothing to
-			// materialize even after a replayed prefix.
-			step{stage: "c-frontend", pass: "c-frontend",
-				print: func() string { return lm.Print() }},
-			func() string { return res.CSource }, func() error {
-				var err error
-				lm, err = cfront.Compile(res.CSource, cfront.Options{Top: top})
-				if err != nil {
-					return err
-				}
-				if err := boundaryCheck(opts, "c-frontend", lm); err != nil {
-					return err
-				}
-				return opts.sem.afterLLVM("c-frontend", "c-frontend", lm)
-			})
-	}); err != nil {
-		return nil, fmt.Errorf("cxx flow: %w", err)
-	}
-	if err := phase("synthesis", func() error {
-		return memoUnit(opts, flowName, synthesisStep(&lm, tgt, &res.Report),
-			func() string { return lm.Print() }, func() error {
-				rep, err := hls.Synthesize(lm, top, tgt)
-				res.Report = rep
-				if err != nil {
-					return err
-				}
-				return opts.sem.afterLLVM("synthesis", "synthesis", lm)
-			})
-	}); err != nil {
-		return nil, fmt.Errorf("cxx flow: %w", err)
-	}
-	if opts.memo != nil {
+	if p.memo != nil {
 		// A replayed tail leaves the module behind the cursor; the Result
 		// must carry the real final module. No post-frontend verify to
 		// mirror here — the cold path never ran one.
-		if err := opts.memo.finalize(&lm, false); err != nil {
+		if err := p.memo.finalize(&p.lm, false); err != nil {
 			return nil, fmt.Errorf("cxx flow: %w", err)
 		}
-		res.UnitHits, res.UnitMisses = opts.memo.hits, opts.memo.misses
 	}
-	res.LLVM = lm
-	res.Total = time.Since(t0)
-	return res, nil
+	return p.result(t0), nil
 }
 
 // RawFlow translates without adapting and returns the gate violations (nil
@@ -675,28 +272,11 @@ func RawFlow(m *mlir.Module, top string, d Directives) ([]hls.Violation, *llvm.M
 // RawFlowWith is RawFlow with explicit options (resilience boundaries
 // included, so engine-run raw jobs cannot crash the process either).
 func RawFlowWith(m *mlir.Module, top string, d Directives, opts Options) ([]hls.Violation, *llvm.Module, error) {
-	const flowName = "raw"
-	mlirSnap := func() string { return m.Print() }
-	if err := mlirPrep(m, top, d, true, flowName, opts); err != nil {
+	p, _ := newPipeline("raw", m, top, d, hls.Target{}, opts) // a raw run builds no oracle, so no error
+	if err := p.run(p.units()); err != nil {
 		return nil, nil, err
 	}
-	if err := unit(opts, flowName, "lowering", "affine-to-scf", mlirSnap,
-		func() error { return lower.AffineToSCF(m) }); err != nil {
-		return nil, nil, err
-	}
-	if err := unit(opts, flowName, "lowering", "scf-to-cf", mlirSnap,
-		func() error { return lower.SCFToCF(m) }); err != nil {
-		return nil, nil, err
-	}
-	var lm *llvm.Module
-	if err := unit(opts, flowName, "translate", "translate", mlirSnap, func() error {
-		var err error
-		lm, err = translate.Translate(m, translate.Options{EmitLifetimeMarkers: true})
-		return err
-	}); err != nil {
-		return nil, nil, err
-	}
-	return hls.Check(lm), lm, nil
+	return hls.Check(p.lm), p.lm, nil
 }
 
 // Execute runs the flow's final LLVM module on the given buffers (one per

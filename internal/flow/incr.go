@@ -1,16 +1,13 @@
 package flow
 
 import (
-	"encoding/json"
 	"fmt"
 	"sync"
 
-	"repro/internal/hls"
 	"repro/internal/incr"
 	"repro/internal/llvm"
 	lparser "repro/internal/llvm/parser"
 	"repro/internal/mlir"
-	"repro/internal/mlir/parser"
 	"repro/internal/resilience"
 )
 
@@ -72,55 +69,37 @@ func newMemoRun(store incr.Store, flowName, top string, opts Options, m *mlir.Mo
 	return &memoRun{store: store, cfg: cfg, bytes: bytes, hash: incr.HashBytes(bytes)}
 }
 
-// step describes one memoizable pipeline unit to the cursor.
-type step struct {
-	stage, pass, params string
-	// materialize brings the live IR object up to date with the cursor
-	// bytes before a live run; nil when the unit consumes the cursor text
-	// directly (the C frontend reads the emitted source).
-	materialize func(src string) error
-	// print renders the live object after a live run; nil when the unit
-	// does not rewrite the artifact (synthesis, whose product is only the
-	// report in the record's Aux).
-	print func() string
-	// auxOut encodes the unit's non-IR product after a live run; auxIn
-	// applies a stored record's product on replay.
-	auxOut func() (json.RawMessage, error)
-	auxIn  func(rec incr.Record) error
-}
-
-// do runs one unit through the cursor: a store hit replays the record and
-// returns replayed=true without executing run; a miss materializes the
-// live IR if it lags the cursor, executes run, and stores the outcome.
-func (r *memoRun) do(s step, run func() error) (replayed bool, err error) {
-	key := incr.UnitKey(r.cfg, s.stage+"/"+s.pass, s.params, r.hash)
-	if rec, ok := r.store.Get(key); ok && r.replay(s, rec) {
+// do runs one unit through the cursor: a store hit replays the record
+// without executing the unit; a miss materializes the live IR if it lags
+// the cursor, runs the unit live (checks included), and stores the outcome.
+func (r *memoRun) do(p *pipeline, u *unit) error {
+	key := incr.UnitKey(r.cfg, u.stage+"/"+u.pass, u.params, r.hash)
+	if rec, ok := r.store.Get(key); ok && r.replay(u, rec) {
 		r.hits++
-		return true, nil
+		return nil
 	}
-	if r.stale && s.materialize != nil {
-		if err := s.materialize(r.bytes); err != nil {
-			return false, fmt.Errorf("incr: materialize before %s/%s: %w", s.stage, s.pass, err)
+	if r.stale {
+		if err := p.materialize(u.in, r.bytes); err != nil {
+			return fmt.Errorf("incr: materialize before %s/%s: %w", u.stage, u.pass, err)
 		}
 		r.stale = false
 	}
-	if err := run(); err != nil {
-		return false, err
+	if err := p.live(u); err != nil {
+		return err
 	}
 	rec := incr.Record{}
-	if s.print != nil {
-		r.bytes = s.print()
+	if u.out != noIR {
+		r.bytes = p.text(u.out)
 		r.hash = incr.HashBytes(r.bytes)
-		r.stale = false
 		rec.IR, rec.Hash = r.bytes, r.hash
 	}
-	if s.auxOut != nil {
-		aux, err := s.auxOut()
+	if u.auxOut != nil {
+		aux, err := u.auxOut()
 		if err != nil {
 			// The unit ran fine; only the record is unencodable. Skip
 			// storing rather than failing the flow.
 			r.misses++
-			return false, nil
+			return nil
 		}
 		rec.Aux = aux
 	}
@@ -129,22 +108,22 @@ func (r *memoRun) do(s step, run func() error) (replayed bool, err error) {
 	// unit simply recomputes next time.
 	_ = r.store.Put(key, rec)
 	r.misses++
-	return false, nil
+	return nil
 }
 
 // replay applies one stored record. A record that cannot be applied (torn
 // Aux, empty IR where the unit rewrites it) reports false and the unit
 // runs live instead — corruption degrades to a miss, never an error.
-func (r *memoRun) replay(s step, rec incr.Record) bool {
-	if s.print != nil && (rec.IR == "" || rec.Hash == "") {
+func (r *memoRun) replay(u *unit, rec incr.Record) bool {
+	if u.out != noIR && (rec.IR == "" || rec.Hash == "") {
 		return false
 	}
-	if s.auxIn != nil {
-		if err := s.auxIn(rec); err != nil {
+	if u.auxIn != nil {
+		if err := u.auxIn(rec); err != nil {
 			return false
 		}
 	}
-	if s.print != nil {
+	if u.out != noIR {
 		r.bytes, r.hash = rec.IR, rec.Hash
 		r.stale = true
 	}
@@ -160,8 +139,8 @@ func (r *memoRun) replay(s step, rec incr.Record) bool {
 var finalModules sync.Map // digest|verify -> *llvm.Module
 
 // finalize re-materializes the live LLVM module after a replayed tail so
-// the flow's Result carries a real module. verify mirrors the LLVM pass
-// manager's unconditional end-of-pipeline verification, which a replayed
+// the flow's Result carries a real module. verify mirrors the adaptor
+// flow's unconditional end-of-llvm-opt verification, which a replayed
 // tail skipped (the adaptor flow sets it; the baseline flow never had a
 // post-frontend verify to mirror). The pointer is replaced, never filled
 // in place: a cache hit aliases a shared module that must stay pristine.
@@ -188,86 +167,4 @@ func (r *memoRun) finalize(lmp **llvm.Module, verify bool) error {
 	*lmp = m.(*llvm.Module)
 	r.stale = false
 	return nil
-}
-
-// mlirMaterializer parses cursor bytes back into the existing module
-// object in place, so every closure holding the module sees the new state.
-func mlirMaterializer(m *mlir.Module) func(src string) error {
-	return func(src string) error {
-		p, err := parser.Parse(src)
-		if err != nil {
-			return err
-		}
-		m.Op = p.Op
-		return nil
-	}
-}
-
-// llvmMaterializer is mlirMaterializer for the LLVM cursor phase. The
-// double pointer lets it both create the module the first time (a fully
-// replayed translate left it nil) and refill it in place afterwards.
-func llvmMaterializer(lmp **llvm.Module) func(src string) error {
-	return func(src string) error {
-		p, err := lparser.Parse(src)
-		if err != nil {
-			return err
-		}
-		if *lmp == nil {
-			*lmp = p
-		} else {
-			**lmp = *p
-		}
-		return nil
-	}
-}
-
-// synthesisStep describes the synthesis unit to the cursor: it rewrites
-// nothing (the cursor bytes stand), and its whole product is the HLS
-// report carried in the record's Aux. The target's cost-model parameters
-// are the unit's key parameters — two DSE sweeps over different targets
-// never share a schedule.
-func synthesisStep(lmp **llvm.Module, tgt hls.Target, rep **hls.Report) step {
-	return step{
-		stage: "synthesis", pass: "synthesis",
-		params:      tgt.Canon(),
-		materialize: llvmMaterializer(lmp),
-		auxOut: func() (json.RawMessage, error) {
-			if *rep == nil {
-				return nil, fmt.Errorf("no synthesis report")
-			}
-			return json.Marshal(*rep)
-		},
-		auxIn: func(rec incr.Record) error {
-			if len(rec.Aux) == 0 {
-				return fmt.Errorf("record lacks synthesis report")
-			}
-			r := new(hls.Report)
-			if err := json.Unmarshal(rec.Aux, r); err != nil {
-				return err
-			}
-			*rep = r
-			return nil
-		},
-	}
-}
-
-// memoUnit is unit() under memoization: the unit is keyed on the cursor
-// and may replay instead of executing. With no memo cursor it falls back
-// to the plain resilience wrapper. snap feeds the Observer, which is
-// mutually exclusive with memoization (memoEnabled).
-func memoUnit(opts Options, flowName string, s step, snap func() string, fn func() error) error {
-	if opts.memo == nil {
-		return unit(opts, flowName, s.stage, s.pass, snap, fn)
-	}
-	if err := resilience.Interrupted(opts.Ctx, s.stage, s.pass); err != nil {
-		return err
-	}
-	body := func() error {
-		_, err := opts.memo.do(s, fn)
-		return err
-	}
-	if opts.Isolate {
-		return resilience.Guard(s.stage, s.pass, body)
-	}
-	return body()
 }

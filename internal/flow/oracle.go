@@ -198,16 +198,12 @@ func corruptLLVM(lm *llvm.Module) {
 // Vitis LLVM's accepted subset is an adaptor bug, reported as a located
 // diagnostic; the gate converts a non-empty report into a typed verify
 // failure attributed to the "conformance" stage. It is a boundary-style
-// check (like boundaryCheck), not a registered pipeline unit, so the
-// PipelineUnits registry stays pinned.
+// check, not a pipeline unit, so the PipelineUnits registry stays pinned.
 func conformanceGate(opts Options, lm *llvm.Module) error {
 	ds := hls.Conformance(lm)
 	if len(ds) == 0 {
 		return nil
 	}
 	err := fmt.Errorf("%d HLS conformance violation(s); first: %s", len(ds), ds[0].String())
-	if opts.Isolate {
-		return resilience.NewFailure("conformance", "conformance", resilience.KindVerify, err)
-	}
-	return fmt.Errorf("conformance gate: %w", err)
+	return opts.verifyErr("conformance", "conformance", "conformance gate", err)
 }

@@ -32,7 +32,8 @@ func TestTextualToolPipeline(t *testing.T) {
 
 	// Stage 1: mlir-opt (directive passes) -> text.
 	m := k.Build(s)
-	if err := mlirPrep(m, k.Name, d, true, "adaptor", Options{}); err != nil {
+	p, _ := newPipeline("adaptor", m, k.Name, d, hls.DefaultTarget(), Options{})
+	if err := p.run(p.mlirOpt()); err != nil {
 		t.Fatal(err)
 	}
 	mlirText := m.Print()

@@ -10,7 +10,7 @@ import (
 
 // TestVerifyEachAllKernelsBothFlows is the pass-pipeline property test: every
 // polybench kernel through both full flows with VerifyEach on must report
-// zero invariant violations — i.e. every pass of both pass managers, and
+// zero invariant violations — i.e. every mlir-opt and llvm-opt pass, and
 // every inter-layer boundary, leaves the IR satisfying the verifier and the
 // lint invariant subset. Directives are enabled so the directive-carrying
 // paths are exercised too.

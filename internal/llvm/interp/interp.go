@@ -170,8 +170,12 @@ func (mc *Machine) Run(ctx context.Context, name string, args ...Arg) (int64, fl
 	for i, a := range args {
 		vals[i] = a.v
 	}
+	p, err := mc.prepare(f)
+	if err != nil {
+		return 0, 0, err
+	}
 	mc.ctx = ctx
-	r, err := mc.call(mc.prepare(f), vals, 0)
+	r, err := mc.call(p, vals, 0)
 	mc.progs = nil
 	return r.i, r.f, err
 }
@@ -313,16 +317,19 @@ func (mc *Machine) call(p *prog, args []val, depth int) (val, error) {
 
 // callee returns f prepared for a call at depth > 0, preparing it on first
 // use in this Run.
-func (mc *Machine) callee(f *llvm.Function) *prog {
+func (mc *Machine) callee(f *llvm.Function) (*prog, error) {
 	if p := mc.progs[f]; p != nil {
-		return p
+		return p, nil
 	}
 	if mc.progs == nil {
 		mc.progs = map[*llvm.Function]*prog{}
 	}
-	p := mc.prepare(f)
+	p, err := mc.prepare(f)
+	if err != nil {
+		return nil, err
+	}
 	mc.progs[f] = p
-	return p
+	return p, nil
 }
 
 func (p *prog) blockName(b int32) string {
@@ -570,7 +577,11 @@ func (mc *Machine) execCall(fr *frame, in *pinstr, depth int) (val, error) {
 		return val{}, nil
 	}
 	if f := in.x.callee; f != nil && !f.IsDecl {
-		return mc.call(mc.callee(f), args, depth+1)
+		p, err := mc.callee(f)
+		if err != nil {
+			return val{}, err
+		}
+		return mc.call(p, args, depth+1)
 	}
 	return val{}, fmt.Errorf("call to unknown function @%s", callee)
 }

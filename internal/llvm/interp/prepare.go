@@ -26,8 +26,9 @@ type prog struct {
 // ident renders the value behind a slot.
 func (p *prog) ident(s int32) string { return p.vals[s].Ident() }
 
-// pblock is a prepared basic block. Block 0 is the entry. A block without a
-// terminator re-enters itself with its predecessor unchanged.
+// pblock is a prepared basic block. Block 0 is the entry. Every prepared
+// block ends in a terminator: preparation rejects a reachable block
+// without one.
 type pblock struct {
 	blk  *llvm.Block
 	phis []pphi
@@ -305,8 +306,9 @@ func terminator(b *llvm.Block) (int, *llvm.Instr) {
 
 // prepare builds f's prepared form. Blocks are the ones reachable by
 // following branch targets from the entry, the only ones the machine can
-// execute.
-func (mc *Machine) prepare(f *llvm.Function) *prog {
+// execute. A reachable block without a terminator is an error: verified
+// IR never has one, and the machine has no defined successor for it.
+func (mc *Machine) prepare(f *llvm.Function) (*prog, error) {
 	// Size every pool by a counting pass: results and parameters,
 	// constant operands, pooled operands (phi incomings count twice, for
 	// block and value), phis, and gep/call extensions.
@@ -357,11 +359,11 @@ func (mc *Machine) prepare(f *llvm.Function) *prog {
 	code := make([]pinstr, 0, n)
 	for bi := range p.blocks {
 		pb := &p.blocks[bi]
-		end, _ := terminator(pb.blk)
-		if end < len(pb.blk.Instrs) {
-			end++
+		end, t := terminator(pb.blk)
+		if t == nil {
+			return nil, fmt.Errorf("interp: block %%%s in @%s has no terminator", pb.blk.Name, f.Name)
 		}
-		instrs := pb.blk.Instrs[:end]
+		instrs := pb.blk.Instrs[:end+1]
 		phiStart := len(pr.phis)
 		for len(instrs) > 0 && instrs[0].Op == llvm.OpPhi {
 			in := instrs[0]
@@ -394,7 +396,7 @@ func (mc *Machine) prepare(f *llvm.Function) *prog {
 		}
 		pb.code = carve(code, start)
 	}
-	return p
+	return p, nil
 }
 
 var opcodes = map[llvm.Opcode]opcode{

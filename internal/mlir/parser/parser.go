@@ -608,6 +608,11 @@ func (p *parser) parseAffineMapLiteral() (*mlir.AffineMap, error) {
 	if err := p.expectPunct(">"); err != nil {
 		return nil, err
 	}
+	for _, e := range exprs {
+		if e.MaxDim() >= numDims || e.MaxSym() >= numSyms {
+			return nil, p.errf("affine expression %s references a dim or symbol beyond the map's (%d dims, %d symbols)", e, numDims, numSyms)
+		}
+	}
 	return mlir.NewMap(numDims, numSyms, exprs...), nil
 }
 
@@ -717,7 +722,7 @@ func (p *parser) parseAffineFactor() (*mlir.AffineExpr, error) {
 		return mlir.Mul(e, mlir.Const(-1)), nil
 	case t.kind == tokIdent && len(t.text) > 1 && (t.text[0] == 'd' || t.text[0] == 's'):
 		idx, err := strconv.Atoi(t.text[1:])
-		if err != nil {
+		if err != nil || idx < 0 {
 			return nil, p.errf("bad dim/symbol %q", t.text)
 		}
 		p.next()

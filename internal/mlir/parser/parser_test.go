@@ -37,8 +37,7 @@ func roundTrip(t *testing.T, m *mlir.Module) {
 	}
 }
 
-func TestParseSimpleFunc(t *testing.T) {
-	src := `
+const srcParseSimpleFunc = `
 module {
   func.func @axpy(%arg0: memref<8xf32>, %arg1: memref<8xf32>) {
     %0 = arith.constant 2.0 : f32
@@ -53,6 +52,9 @@ module {
   }
 }
 `
+
+func TestParseSimpleFunc(t *testing.T) {
+	src := srcParseSimpleFunc
 	m := parseOrFatal(t, src)
 	f := m.FindFunc("axpy")
 	if f == nil {
@@ -61,8 +63,7 @@ module {
 	roundTrip(t, m)
 }
 
-func TestParseAttrsAndDirectives(t *testing.T) {
-	src := `
+const srcParseAttrsAndDirectives = `
 module {
   func.func @k(%arg0: memref<4x4xf64>) attributes {hls.top} {
     affine.for %0 = 0 to 4 step 1 {
@@ -75,6 +76,9 @@ module {
   }
 }
 `
+
+func TestParseAttrsAndDirectives(t *testing.T) {
+	src := srcParseAttrsAndDirectives
 	m := parseOrFatal(t, src)
 	f := m.FindFunc("k")
 	if !f.HasAttr(mlir.AttrTopFunc) {
@@ -94,8 +98,7 @@ module {
 	roundTrip(t, m)
 }
 
-func TestParseAffineMapBounds(t *testing.T) {
-	src := `
+const srcParseAffineMapBounds = `
 module {
   func.func @tri(%arg0: memref<8x8xf32>) {
     affine.for %0 = 0 to 8 step 1 {
@@ -108,6 +111,9 @@ module {
   }
 }
 `
+
+func TestParseAffineMapBounds(t *testing.T) {
+	src := srcParseAffineMapBounds
 	m := parseOrFatal(t, src)
 	outer, _ := mlir.AsAffineFor(mlir.FuncBody(m.FindFunc("tri")).Ops[0])
 	inner, ok := mlir.AsAffineFor(outer.Body().Ops[0])
@@ -123,8 +129,7 @@ module {
 	roundTrip(t, m)
 }
 
-func TestParseAffineAccessMap(t *testing.T) {
-	src := `
+const srcParseAffineAccessMap = `
 module {
   func.func @sten(%arg0: memref<16xf32>) {
     affine.for %0 = 1 to 15 step 1 {
@@ -137,6 +142,9 @@ module {
   }
 }
 `
+
+func TestParseAffineAccessMap(t *testing.T) {
+	src := srcParseAffineAccessMap
 	m := parseOrFatal(t, src)
 	var loads []*mlir.Op
 	mlir.Walk(m.Op, func(o *mlir.Op) bool {
@@ -155,8 +163,7 @@ module {
 	roundTrip(t, m)
 }
 
-func TestParseSCFAndCF(t *testing.T) {
-	src := `
+const srcParseSCFAndCF = `
 module {
   func.func @scfcf(%arg0: memref<4xf32>) {
     %0 = arith.constant 0 : index
@@ -170,12 +177,14 @@ module {
   }
 }
 `
+
+func TestParseSCFAndCF(t *testing.T) {
+	src := srcParseSCFAndCF
 	m := parseOrFatal(t, src)
 	roundTrip(t, m)
 }
 
-func TestParseMultiBlockCF(t *testing.T) {
-	src := `
+const srcParseMultiBlockCF = `
 module {
   func.func @loop(%arg0: memref<4xi32>) {
   ^bb0:
@@ -196,6 +205,9 @@ module {
   }
 }
 `
+
+func TestParseMultiBlockCF(t *testing.T) {
+	src := srcParseMultiBlockCF
 	m := parseOrFatal(t, src)
 	f := m.FindFunc("loop")
 	if n := len(f.Regions[0].Blocks); n != 4 {
@@ -204,8 +216,7 @@ module {
 	roundTrip(t, m)
 }
 
-func TestParseScfIf(t *testing.T) {
-	src := `
+const srcParseScfIf = `
 module {
   func.func @cond(%arg0: memref<4xf32>, %arg1: index) {
     %0 = arith.constant 0 : index
@@ -221,12 +232,14 @@ module {
   }
 }
 `
+
+func TestParseScfIf(t *testing.T) {
+	src := srcParseScfIf
 	m := parseOrFatal(t, src)
 	roundTrip(t, m)
 }
 
-func TestParseCallAndReturnValue(t *testing.T) {
-	src := `
+const srcParseCallAndReturnValue = `
 module {
   func.func @helper(%arg0: f32) -> (f32) {
     %0 = arith.mulf %arg0, %arg0 : f32
@@ -238,6 +251,9 @@ module {
   }
 }
 `
+
+func TestParseCallAndReturnValue(t *testing.T) {
+	src := srcParseCallAndReturnValue
 	m := parseOrFatal(t, src)
 	if len(m.Funcs()) != 2 {
 		t.Fatal("expected two functions")
@@ -245,8 +261,7 @@ module {
 	roundTrip(t, m)
 }
 
-func TestParseGenericOp(t *testing.T) {
-	src := `
+const srcParseGenericOp = `
 module {
   func.func @g(%arg0: f32) {
     %0 = "mydialect.magic"(%arg0) {level = 3} : (f32) -> (f32)
@@ -254,6 +269,9 @@ module {
   }
 }
 `
+
+func TestParseGenericOp(t *testing.T) {
+	src := srcParseGenericOp
 	m := parseOrFatal(t, src)
 	var magic *mlir.Op
 	mlir.Walk(m.Op, func(o *mlir.Op) bool {
@@ -271,18 +289,29 @@ module {
 	roundTrip(t, m)
 }
 
+// parseErrorCases are inputs the parser must reject with an error.
+var parseErrorCases = []struct {
+	name string
+	src  string
+}{
+	{"missing module", `func.func @x() { func.return }`},
+	{"undefined value", `module { func.func @x() { %0 = arith.addi %9, %9 : i32 func.return } }`},
+	{"unterminated", `module { func.func @x() {`},
+	{"bad type", `module { func.func @x(%arg0: banana) { func.return } }`},
+	{"bad op", `module { func.func @x() { arith.frobnicate } }`},
+	{"map dim out of range", `module { func.func @x(%arg0: memref<4xf32>) {
+    affine.for %0 = 0 to 4 step 1 {
+      %1 = affine.load %arg0[%0] map affine_map<(d0) -> (d3)> : memref<4xf32>
+    }
+    func.return } }`},
+	{"map symbol out of range", `module { func.func @x(%arg0: memref<4xf32>) {
+    affine.for %0 = affine_map<(d0) -> (d0 + s0)>(%arg0) to 4 step 1 {
+    }
+    func.return } }`},
+}
+
 func TestParseErrors(t *testing.T) {
-	cases := []struct {
-		name string
-		src  string
-	}{
-		{"missing module", `func.func @x() { func.return }`},
-		{"undefined value", `module { func.func @x() { %0 = arith.addi %9, %9 : i32 func.return } }`},
-		{"unterminated", `module { func.func @x() {`},
-		{"bad type", `module { func.func @x(%arg0: banana) { func.return } }`},
-		{"bad op", `module { func.func @x() { arith.frobnicate } }`},
-	}
-	for _, c := range cases {
+	for _, c := range parseErrorCases {
 		t.Run(c.name, func(t *testing.T) {
 			if _, err := Parse(c.src); err == nil {
 				t.Errorf("expected parse error for %s", c.name)
@@ -291,8 +320,7 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
-func TestParseComments(t *testing.T) {
-	src := `
+const srcParseComments = `
 // leading comment
 module {
   // a function
@@ -301,11 +329,13 @@ module {
   }
 }
 `
+
+func TestParseComments(t *testing.T) {
+	src := srcParseComments
 	parseOrFatal(t, src)
 }
 
-func TestParseNegativeAndFloatConstants(t *testing.T) {
-	src := `
+const srcParseNegativeAndFloatConstants = `
 module {
   func.func @n() {
     %0 = arith.constant -5 : i32
@@ -316,6 +346,9 @@ module {
   }
 }
 `
+
+func TestParseNegativeAndFloatConstants(t *testing.T) {
+	src := srcParseNegativeAndFloatConstants
 	m := parseOrFatal(t, src)
 	var consts []*mlir.Op
 	mlir.Walk(m.Op, func(o *mlir.Op) bool {
@@ -385,4 +418,18 @@ func TestPrintParseStableOnNestedAttrs(t *testing.T) {
 	if !strings.Contains(out, `arr = [1, "two", true]`) {
 		t.Errorf("array attr not printed as expected:\n%s", out)
 	}
+}
+
+// Fixtures returns the sources these tests parse — accepted and rejected —
+// plus a few printed random modules: the seed corpus of the parser's fuzz
+// target.
+func Fixtures() []string {
+	srcs := []string{srcParseSimpleFunc, srcParseAttrsAndDirectives, srcParseAffineMapBounds, srcParseAffineAccessMap, srcParseSCFAndCF, srcParseMultiBlockCF, srcParseScfIf, srcParseCallAndReturnValue, srcParseGenericOp, srcParseComments, srcParseNegativeAndFloatConstants}
+	for _, c := range parseErrorCases {
+		srcs = append(srcs, c.src)
+	}
+	for seed := int64(0); seed < 4; seed++ {
+		srcs = append(srcs, randomModule(seed).Print())
+	}
+	return srcs
 }

@@ -5,12 +5,9 @@
 package passes
 
 import (
-	"context"
 	"fmt"
-	"sync"
 
 	"repro/internal/mlir"
-	"repro/internal/resilience"
 )
 
 // Pass transforms a module in place.
@@ -28,54 +25,19 @@ type Parameterized interface {
 	Params() string
 }
 
-// FuncLocal is implemented by passes whose Run visits each function
-// independently, touching no cross-function state. The pass manager may
-// run such passes across functions in parallel (Parallel option), and the
-// flow's unit registry marks them function-local.
-type FuncLocal interface {
-	RunOnFunc(f *mlir.Op) error
-}
-
-// PassManager runs a pipeline of passes, verifying after each.
+// PassManager runs a pipeline of passes, verifying after each. The flows
+// run their passes as pipeline units instead; this manager serves the
+// standalone mlir-opt tool and tests.
 type PassManager struct {
 	passes []Pass
 	// VerifyEach enables module verification after every pass (default on
 	// via NewPassManager).
 	VerifyEach bool
 	// AfterPass, when non-nil, runs after each pass's verification; a
-	// non-nil error aborts the pipeline attributed to the named pass. The
-	// flow layer injects the lint invariant checks here, keeping this
-	// package free of a lint dependency.
+	// non-nil error aborts the pipeline attributed to the named pass.
+	// mlir-opt -verify-each injects the lint invariant checks here,
+	// keeping this package free of a lint dependency.
 	AfterPass func(passName string, m *mlir.Module) error
-	// Ctx, when non-nil, is checked at every pass boundary: once it is
-	// done the pipeline stops before the next pass with a typed
-	// timeout/cancellation failure. This is what lets a timed-out engine
-	// job stop at the next boundary instead of running the remaining
-	// pipeline in a leaked goroutine.
-	Ctx context.Context
-	// Isolate runs every pass inside a recovery boundary: a panic (or any
-	// failure) surfaces as a *resilience.PassFailure naming this manager's
-	// Stage and the pass, instead of killing the process.
-	Isolate bool
-	// Stage attributes failures under Isolate; defaults to "mlir-opt".
-	Stage string
-	// BeforePass, when non-nil, runs inside the pass's recovery boundary
-	// immediately before the pass body. The flow layer hangs IR
-	// snapshotting (bisection replay) and deterministic fault injection
-	// (tests) here; a panic in the hook is attributed to the pass.
-	BeforePass func(passName string, m *mlir.Module)
-	// Wrap, when non-nil, intercepts every pass: run executes the pass
-	// body, and params is the pass's canonical parameter string (empty
-	// for parameterless passes). Returning replayed=true means the pass's
-	// effect was applied without executing run — the incremental layer's
-	// memoized replay — and the manager then skips after-pass
-	// verification and the AfterPass hook, whose module argument would
-	// not reflect the (deliberately unmaterialized) replayed state.
-	Wrap func(passName, params string, run func() error) (replayed bool, err error)
-	// Parallel runs FuncLocal passes across the module's functions
-	// concurrently. Passes that do not implement FuncLocal still run
-	// serially.
-	Parallel bool
 }
 
 // NewPassManager returns a pass manager that verifies after each pass.
@@ -87,113 +49,21 @@ func (pm *PassManager) Add(ps ...Pass) *PassManager {
 	return pm
 }
 
-// stage returns the failure-attribution stage name.
-func (pm *PassManager) stage() string {
-	if pm.Stage != "" {
-		return pm.Stage
-	}
-	return "mlir-opt"
-}
-
 // Run executes the pipeline.
 func (pm *PassManager) Run(m *mlir.Module) error {
 	for _, p := range pm.passes {
-		p := p
-		if err := resilience.Interrupted(pm.Ctx, pm.stage(), p.Name()); err != nil {
-			return err
-		}
-		replayed := false
-		body := func() error {
-			if pm.BeforePass != nil {
-				pm.BeforePass(p.Name(), m)
-			}
-			run := func() error { return pm.runPass(p, m) }
-			if pm.Wrap != nil {
-				var err error
-				replayed, err = pm.Wrap(p.Name(), PassParams(p), run)
-				return err
-			}
-			return run()
-		}
-		if pm.Isolate {
-			if err := resilience.Guard(pm.stage(), p.Name(), body); err != nil {
-				return err
-			}
-		} else if err := body(); err != nil {
+		if err := p.Run(m); err != nil {
 			return fmt.Errorf("pass %s: %w", p.Name(), err)
-		}
-		if replayed {
-			// The module deliberately does not reflect a replayed pass
-			// (the incremental layer carries the state as bytes); the
-			// after-pass checks ran when the record was stored and their
-			// activation participates in the memo key.
-			continue
 		}
 		if pm.VerifyEach {
 			if err := m.Verify(); err != nil {
-				if pm.Isolate {
-					return resilience.NewFailure(pm.stage(), p.Name(), resilience.KindVerify, err)
-				}
 				return fmt.Errorf("verification after pass %s: %w", p.Name(), err)
 			}
 		}
 		if pm.AfterPass != nil {
 			if err := pm.AfterPass(p.Name(), m); err != nil {
-				// An already-typed failure (e.g. the semantic oracle's
-				// KindMiscompile) keeps its own attribution and kind.
-				if _, typed := resilience.AsPassFailure(err); typed {
-					return err
-				}
-				if pm.Isolate {
-					return resilience.NewFailure(pm.stage(), p.Name(), resilience.KindVerify, err)
-				}
 				return fmt.Errorf("invariant violation after pass %s: %w", p.Name(), err)
 			}
-		}
-	}
-	return nil
-}
-
-// runPass executes one pass body, fanning FuncLocal passes across the
-// module's functions when Parallel is set and there is more than one
-// function to visit.
-func (pm *PassManager) runPass(p Pass, m *mlir.Module) error {
-	fl, ok := p.(FuncLocal)
-	if !pm.Parallel || !ok {
-		return p.Run(m)
-	}
-	funcs := m.Funcs()
-	if len(funcs) < 2 {
-		return p.Run(m)
-	}
-	errs := make([]error, len(funcs))
-	var wg sync.WaitGroup
-	for i, f := range funcs {
-		i, f := i, f
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Recover per goroutine: a recovery boundary on the caller's
-			// stack cannot catch a panic raised here. Plain errors pass
-			// through untyped so the Parallel path reports exactly what a
-			// serial visit would.
-			errs[i] = func() (err error) {
-				defer func() {
-					if r := recover(); r != nil {
-						err = resilience.NewFailure(pm.stage(), p.Name(), resilience.KindPanic,
-							fmt.Errorf("%v", r))
-					}
-				}()
-				return fl.RunOnFunc(f)
-			}()
-		}()
-	}
-	wg.Wait()
-	// First failure by function order, matching what a serial visit would
-	// have reported.
-	for _, err := range errs {
-		if err != nil {
-			return err
 		}
 	}
 	return nil
@@ -223,9 +93,6 @@ func (p funcPass) Name() string { return p.name }
 
 // Params implements Parameterized.
 func (p funcPass) Params() string { return p.params }
-
-// RunOnFunc implements FuncLocal.
-func (p funcPass) RunOnFunc(f *mlir.Op) error { return p.fn(f) }
 
 // Run implements Pass.
 func (p funcPass) Run(m *mlir.Module) error {

@@ -2,9 +2,9 @@
 // boundary that converts pass panics into typed failures, a seeded backoff
 // policy for transient-error retries, self-contained repro bundles written
 // to a quarantine directory, and a crash-tolerant write-ahead journal for
-// resumable sweeps. It is a leaf package — every layer of the stack (pass
-// managers, flows, the evaluation engine, the DSE) builds on it without
-// creating import cycles.
+// resumable sweeps. It is a leaf package — every layer of the stack (the
+// flows, the evaluation engine, the DSE) builds on it without creating
+// import cycles.
 package resilience
 
 import (
@@ -111,8 +111,8 @@ func Guard(stage, pass string, fn func() error) (err error) {
 }
 
 // Interrupted converts a non-nil ctx.Err() observed before (stage, pass)
-// into a typed failure; it returns nil while ctx is live. Pass managers
-// call it at every pass boundary so a timed-out job stops at the next
+// into a typed failure; it returns nil while ctx is live. The flow runner
+// calls it at every unit boundary so a timed-out job stops at the next
 // boundary instead of running the pipeline to completion in a leaked
 // goroutine.
 func Interrupted(ctx context.Context, stage, pass string) error {

@@ -122,6 +122,11 @@ func TestEvalBadRequests(t *testing.T) {
 		{"mlir without top", EvalRequest{MLIR: "func { }"}},
 		{"bad kind", EvalRequest{Kernel: "gemm", Kind: "raw"}},
 		{"bad cost model", EvalRequest{Kernel: "gemm", Target: &TargetSpec{CostModel: "psychic"}}},
+		{"affine map dim out of range", EvalRequest{Top: "k", MLIR: `module { func.func @k(%arg0: memref<4xf32>) {
+    affine.for %0 = 0 to 4 step 1 {
+      %1 = affine.load %arg0[%0] map affine_map<(d0) -> (d3)> : memref<4xf32>
+    }
+    func.return } }`}},
 	}
 	for _, tc := range cases {
 		resp := postJSON(t, ts.URL+"/v1/eval", tc.req)
