@@ -11,6 +11,7 @@ package repro_test
 import (
 	"flag"
 	"fmt"
+	"runtime"
 	"strconv"
 	"testing"
 	"time"
@@ -141,6 +142,49 @@ func BenchmarkDSEParallel(b *testing.B) {
 		b.ReportMetric(float64(serial)/float64(perOp), "speedup-vs-serial")
 		b.ReportMetric(eng.Stats().HitRate(), "cache-hit-rate")
 	})
+}
+
+// BenchmarkCompilePointSmall is one round of the oracle-off DSE sweep as
+// a micro-benchmark: one op explores all 18 PolyBench kernels at SMALL
+// with the feasibility pre-check on and two workers, the settings of the
+// perfbench dse workload. Besides the per-round figures it reports bytes
+// and allocations per evaluated configuration (pruned points excluded).
+func BenchmarkCompilePointSmall(b *testing.B) {
+	type input struct {
+		name  string
+		build func() *mlir.Module
+	}
+	var ins []input
+	for _, k := range polybench.All() {
+		s, err := k.SizeOf("SMALL")
+		if err != nil {
+			b.Fatal(err)
+		}
+		ins = append(ins, input{k.Name, func() *mlir.Module { return k.Build(s) }})
+	}
+	opts := dse.Options{Workers: 2, Precheck: true}
+	tgt := hls.DefaultTarget()
+	b.ReportAllocs()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	evaluated := 0
+	for i := 0; i < b.N; i++ {
+		for _, in := range ins {
+			res, err := dse.ExploreWith(in.build, in.name, tgt, opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if len(res.Errors) > 0 {
+				b.Fatalf("%s: %s: %v", in.name, res.Errors[0].Label, res.Errors[0].Err)
+			}
+			evaluated += len(res.Points)
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(evaluated), "B/config")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(evaluated), "allocs/config")
 }
 
 // BenchmarkExperimentsCached regenerates the two optimized-directive

@@ -101,7 +101,7 @@ func Solve[S any](f *llvm.Function, d Domain[S]) *Result[S] {
 		}
 		var in S
 		first := true
-		for _, p := range cfg.Preds[b] {
+		for _, p := range cfg.Preds(b) {
 			k := edgeKey{p, b}
 			if !hasEdge[k] {
 				continue

@@ -179,12 +179,16 @@ type Engine struct {
 // (may be nil) is a points-to oracle consulted before any subscript test:
 // pairs it disproves are Independent outright.
 func New(f *llvm.Function, li *analysis.LoopInfo, mayAlias func(a, b llvm.Value) bool) *Engine {
+	n := 0
+	for _, b := range f.Blocks {
+		n += len(b.Instrs)
+	}
 	e := &Engine{
 		f: f, li: li, mayAlias: mayAlias,
-		ivLoops: map[*llvm.Instr]loopIV{},
-		trips:   map[*analysis.Loop]int64{},
-		nests:   map[*llvm.Block][]*analysis.Loop{},
-		pos:     map[*llvm.Instr]int{},
+		ivLoops: make(map[*llvm.Instr]loopIV, len(li.Loops)),
+		trips:   make(map[*analysis.Loop]int64, len(li.Loops)),
+		nests:   make(map[*llvm.Block][]*analysis.Loop, len(f.Blocks)),
+		pos:     make(map[*llvm.Instr]int, n),
 		acc:     map[llvm.Value]accessInfo{},
 		cache:   map[carriedKey]CarriedDep{},
 	}
@@ -196,7 +200,7 @@ func New(f *llvm.Function, li *analysis.LoopInfo, mayAlias func(a, b llvm.Value)
 			e.trips[l] = -1
 		}
 	}
-	n := 0
+	n = 0
 	for _, b := range f.Blocks {
 		e.nests[b] = li.NestOf(b)
 		for _, in := range b.Instrs {

@@ -35,8 +35,6 @@ type blockSchedule struct {
 	// MaxChainNs is the longest combinational chain packed into one cycle
 	// (the critical path bounding the achievable clock).
 	MaxChainNs float64
-	// finish records each instruction's finish time in ns.
-	finish map[*llvm.Instr]float64
 }
 
 // scheduleInstrs is scheduleInstrsPorts with the default port width for
@@ -52,11 +50,9 @@ func (t Target) scheduleInstrs(instrs []*llvm.Instr) blockSchedule {
 // partitioning multiplies the default dual ports); nil uses the default.
 func (t Target) scheduleInstrsPorts(instrs []*llvm.Instr, portsOf func(llvm.Value) int) blockSchedule {
 	clk := t.ClockNs
-	finish := map[*llvm.Instr]float64{}
-	inSeq := map[*llvm.Instr]bool{}
-	for _, in := range instrs {
-		inSeq[in] = true
-	}
+	// finish holds the finish time in ns of each instruction scheduled so
+	// far; operands without an entry are ready at time zero.
+	finish := make(map[*llvm.Instr]float64, len(instrs))
 	// Memory ordering state per base.
 	lastStoreFinish := map[llvm.Value]float64{}
 	lastAccessFinish := map[llvm.Value]float64{}
@@ -82,7 +78,7 @@ func (t Target) scheduleInstrsPorts(instrs []*llvm.Instr, portsOf func(llvm.Valu
 		}
 		ready := 0.0
 		for _, a := range in.Args {
-			if d, ok := a.(*llvm.Instr); ok && inSeq[d] {
+			if d, ok := a.(*llvm.Instr); ok {
 				if f, ok := finish[d]; ok && f > ready {
 					ready = f
 				}
@@ -155,7 +151,7 @@ func (t Target) scheduleInstrsPorts(instrs []*llvm.Instr, portsOf func(llvm.Valu
 	if cycles == 0 && len(instrs) > 0 {
 		cycles = 1
 	}
-	return blockSchedule{Cycles: cycles, MemAccesses: mem, MaxChainNs: maxChain, finish: finish}
+	return blockSchedule{Cycles: cycles, MemAccesses: mem, MaxChainNs: maxChain}
 }
 
 // recMII computes the recurrence-constrained minimum initiation interval of

@@ -68,10 +68,10 @@ func TestCFGOrderAndPreds(t *testing.T) {
 	if cfg.Order[0] != blocks["entry"] {
 		t.Error("RPO must start at entry")
 	}
-	if got := len(cfg.Preds[blocks["oh"]]); got != 2 {
+	if got := len(cfg.Preds(blocks["oh"])); got != 2 {
 		t.Errorf("outer header should have 2 preds, got %d", got)
 	}
-	if got := len(cfg.Preds[blocks["ih"]]); got != 2 {
+	if got := len(cfg.Preds(blocks["ih"])); got != 2 {
 		t.Errorf("inner header should have 2 preds, got %d", got)
 	}
 	if !cfg.Reachable(blocks["exit"]) {

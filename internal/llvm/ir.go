@@ -311,6 +311,62 @@ func (f *Function) SetAttr(k, v string) {
 	f.Attrs[k] = v
 }
 
+// BlockIndex numbers a function's blocks by position, then any successor
+// missing from f.Blocks after them, and lists each numbered block's
+// predecessors in block and successor order. Per-block tables over a
+// function are slices over these numbers. Building one takes three
+// allocations however many blocks there are.
+type BlockIndex struct {
+	// Num maps each numbered block to its number.
+	Num   map[*Block]int
+	start []int // block i's predecessors are preds[start[i]:start[i+1]]
+	preds []*Block
+}
+
+// NewBlockIndex indexes f's blocks.
+func NewBlockIndex(f *Function) BlockIndex {
+	x := BlockIndex{Num: make(map[*Block]int, len(f.Blocks))}
+	for i, b := range f.Blocks {
+		x.Num[b] = i
+	}
+	// Count each block's predecessors into start[i+1]; prefix sums turn
+	// the counts into list starts.
+	x.start = make([]int, len(f.Blocks)+1)
+	for _, b := range f.Blocks {
+		for _, s := range b.Succs() {
+			i, ok := x.Num[s]
+			if !ok {
+				i = len(x.start) - 1
+				x.Num[s] = i
+				x.start = append(x.start, 0)
+			}
+			x.start[i+1]++
+		}
+	}
+	for i := 1; i < len(x.start); i++ {
+		x.start[i] += x.start[i-1]
+	}
+	// Filling advances start[i] to the end of list i, which is where list
+	// i+1 starts; shifting by one restores the starts.
+	x.preds = make([]*Block, x.start[len(x.start)-1])
+	for _, b := range f.Blocks {
+		for _, s := range b.Succs() {
+			i := x.Num[s]
+			x.preds[x.start[i]] = b
+			x.start[i]++
+		}
+	}
+	copy(x.start[1:], x.start)
+	x.start[0] = 0
+	return x
+}
+
+// Len returns the number of numbered blocks.
+func (x *BlockIndex) Len() int { return len(x.start) - 1 }
+
+// Preds returns the predecessors of block number i.
+func (x *BlockIndex) Preds(i int) []*Block { return x.preds[x.start[i]:x.start[i+1]] }
+
 // Module is a translation unit.
 type Module struct {
 	Name string
@@ -351,17 +407,56 @@ func (m *Module) FindFunc(name string) *Function {
 	return nil
 }
 
-// ReplaceAllUses rewrites every operand use of old with repl in f.
-func (f *Function) ReplaceAllUses(old, repl Value) {
-	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
-			for i, a := range in.Args {
-				if a == old {
-					in.Args[i] = repl
-				}
-			}
+// Replacements maps values to the values that replace them. A pass that
+// replaces several values records them here and applies them with one
+// ReplaceUses sweep; until then it reads operands through Resolve (or
+// ResolveArgs). Chains resolve to their end (a→b, b→c replaces a with c);
+// an entry mapping a value to itself is allowed, any other cycle is a bug.
+type Replacements map[Value]Value
+
+// Resolve returns the value v finally stands for.
+func (r Replacements) Resolve(v Value) Value {
+	for steps := 0; ; steps++ {
+		n, ok := r[v]
+		if !ok || n == v {
+			return v
+		}
+		if steps > len(r) {
+			panic("llvm: cyclic value replacements")
+		}
+		v = n
+	}
+}
+
+// ResolveArgs rewrites in's operands to their resolved replacements, the
+// state one ReplaceUses sweep would leave them in.
+func (r Replacements) ResolveArgs(in *Instr) {
+	if len(r) == 0 {
+		return
+	}
+	for i, a := range in.Args {
+		if _, ok := r[a]; ok {
+			in.Args[i] = r.Resolve(a)
 		}
 	}
+}
+
+// ReplaceUses rewrites, in one sweep over f, every operand with an entry
+// in r to its resolved replacement.
+func (f *Function) ReplaceUses(r Replacements) {
+	if len(r) == 0 {
+		return
+	}
+	for _, b := range f.Blocks {
+		for _, in := range b.Instrs {
+			r.ResolveArgs(in)
+		}
+	}
+}
+
+// ReplaceAllUses rewrites every operand use of old with repl in f.
+func (f *Function) ReplaceAllUses(old, repl Value) {
+	f.ReplaceUses(Replacements{old: repl})
 }
 
 // HasUses reports whether v is used as an operand anywhere in f.

@@ -1,6 +1,17 @@
 package llvm
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
+
+// nameSets recycles Verify's sets of SSA names. A function is verified
+// several times per compile, and a fresh set per call was the verifier's
+// largest allocation. Sets of more than maxPooledNames names are dropped
+// instead, so one huge function does not make every later clear costly.
+var nameSets = sync.Pool{New: func() any { return map[string]struct{}{} }}
+
+const maxPooledNames = 1 << 14
 
 // Verify checks structural invariants: every block has a terminator, phis
 // match their predecessors, operand types line up for known ops, and every
@@ -22,19 +33,20 @@ func (f *Function) Verify() error {
 	if len(f.Blocks) == 0 {
 		return fmt.Errorf("no blocks")
 	}
-	names := map[string]bool{}
+	names := nameSets.Get().(map[string]struct{})
+	defer func() {
+		if len(names) <= maxPooledNames {
+			clear(names)
+			nameSets.Put(names)
+		}
+	}()
 	for _, p := range f.Params {
-		if names[p.Name] {
+		if _, dup := names[p.Name]; dup {
 			return fmt.Errorf("duplicate parameter name %%%s", p.Name)
 		}
-		names[p.Name] = true
+		names[p.Name] = struct{}{}
 	}
-	preds := map[*Block][]*Block{}
-	for _, b := range f.Blocks {
-		for _, s := range b.Succs() {
-			preds[s] = append(preds[s], b)
-		}
-	}
+	preds := &predLists{f: f}
 	for _, b := range f.Blocks {
 		t := b.Terminator()
 		if t == nil {
@@ -48,10 +60,10 @@ func (f *Function) Verify() error {
 				if in.Name == "" {
 					return fmt.Errorf("unnamed result in block %%%s (op %s)", b.Name, in.Op)
 				}
-				if names[in.Name] {
+				if _, dup := names[in.Name]; dup {
 					return fmt.Errorf("duplicate SSA name %%%s", in.Name)
 				}
-				names[in.Name] = true
+				names[in.Name] = struct{}{}
 			}
 			if err := verifyInstr(in, preds); err != nil {
 				return fmt.Errorf("block %%%s: %s: %w", b.Name, in.Op, err)
@@ -61,7 +73,25 @@ func (f *Function) Verify() error {
 	return nil
 }
 
-func verifyInstr(in *Instr, preds map[*Block][]*Block) error {
+// predLists lists every block's predecessors for the phi checks, indexed
+// on the first phi.
+type predLists struct {
+	f   *Function
+	idx *BlockIndex
+}
+
+func (p *predLists) of(b *Block) []*Block {
+	if p.idx == nil {
+		idx := NewBlockIndex(p.f)
+		p.idx = &idx
+	}
+	if i, ok := p.idx.Num[b]; ok {
+		return p.idx.Preds(i)
+	}
+	return nil
+}
+
+func verifyInstr(in *Instr, preds *predLists) error {
 	want := func(n int) error {
 		if len(in.Args) != n {
 			return fmt.Errorf("want %d operands, have %d", n, len(in.Args))
@@ -169,7 +199,7 @@ func verifyInstr(in *Instr, preds map[*Block][]*Block) error {
 			return fmt.Errorf("phi args/blocks length mismatch")
 		}
 		if in.Parent != nil {
-			ps := preds[in.Parent]
+			ps := preds.of(in.Parent)
 			if len(ps) != len(in.Blocks) {
 				return fmt.Errorf("phi has %d incoming, block has %d predecessors",
 					len(in.Blocks), len(ps))

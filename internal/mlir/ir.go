@@ -341,31 +341,35 @@ func (m *Module) FindFunc(name string) *Op {
 	return nil
 }
 
+// walkBuf is the number of ops Walk and WalkPost copy on the stack per
+// block before falling back to a heap copy.
+const walkBuf = 32
+
 // Walk visits op and all nested ops in pre-order. Returning false from fn
-// skips the op's regions (but continues with siblings).
+// skips the op's regions (but continues with siblings). Each block's op
+// list is copied before its ops are visited, so fn may insert, erase or
+// move ops; the copy lives on the stack for blocks of up to walkBuf ops.
 func Walk(op *Op, fn func(*Op) bool) {
 	if !fn(op) {
 		return
 	}
 	for _, r := range op.Regions {
 		for _, b := range r.Blocks {
-			// Copy: callbacks may mutate the op list.
-			ops := make([]*Op, len(b.Ops))
-			copy(ops, b.Ops)
-			for _, o := range ops {
+			var buf [walkBuf]*Op
+			for _, o := range append(buf[:0], b.Ops...) {
 				Walk(o, fn)
 			}
 		}
 	}
 }
 
-// WalkPost visits op and all nested ops in post-order.
+// WalkPost visits op and all nested ops in post-order, copying each
+// block's op list before visiting it as Walk does.
 func WalkPost(op *Op, fn func(*Op)) {
 	for _, r := range op.Regions {
 		for _, b := range r.Blocks {
-			ops := make([]*Op, len(b.Ops))
-			copy(ops, b.Ops)
-			for _, o := range ops {
+			var buf [walkBuf]*Op
+			for _, o := range append(buf[:0], b.Ops...) {
 				WalkPost(o, fn)
 			}
 		}
@@ -373,34 +377,77 @@ func WalkPost(op *Op, fn func(*Op)) {
 	fn(op)
 }
 
-// ReplaceAllUses rewrites every use of old with new within root's regions.
-func ReplaceAllUses(root *Op, old, niu *Value) {
-	Walk(root, func(o *Op) bool {
+// visit is the read-only pre-order walk: it copies nothing, so fn must not
+// change any op list. It stops as soon as fn returns false and reports
+// whether it ran to the end.
+func visit(op *Op, fn func(*Op) bool) bool {
+	if !fn(op) {
+		return false
+	}
+	for _, r := range op.Regions {
+		for _, b := range r.Blocks {
+			for _, o := range b.Ops {
+				if !visit(o, fn) {
+					return false
+				}
+			}
+		}
+	}
+	return true
+}
+
+// Replacements maps values to the values that replace them. A pass that
+// replaces several values records them here and applies them with one
+// ReplaceUses sweep; until then it reads operands through Resolve. Chains
+// resolve to their end (a→b, b→c replaces a with c); an entry mapping a
+// value to itself is allowed, any other cycle is a bug.
+type Replacements map[*Value]*Value
+
+// Resolve returns the value v finally stands for.
+func (r Replacements) Resolve(v *Value) *Value {
+	for steps := 0; ; steps++ {
+		n, ok := r[v]
+		if !ok || n == v {
+			return v
+		}
+		if steps > len(r) {
+			panic("mlir: cyclic value replacements")
+		}
+		v = n
+	}
+}
+
+// ReplaceUses rewrites, in one walk over root's regions, every operand
+// with an entry in r to its resolved replacement.
+func ReplaceUses(root *Op, r Replacements) {
+	if len(r) == 0 {
+		return
+	}
+	visit(root, func(o *Op) bool {
 		for i, v := range o.Operands {
-			if v == old {
-				o.Operands[i] = niu
+			if _, ok := r[v]; ok {
+				o.Operands[i] = r.Resolve(v)
 			}
 		}
 		return true
 	})
 }
 
+// ReplaceAllUses rewrites every use of old with new within root's regions.
+func ReplaceAllUses(root *Op, old, niu *Value) {
+	ReplaceUses(root, Replacements{old: niu})
+}
+
 // HasUses reports whether v is used by any op under root.
 func HasUses(root *Op, v *Value) bool {
-	found := false
-	Walk(root, func(o *Op) bool {
-		if found {
-			return false
-		}
+	return !visit(root, func(o *Op) bool {
 		for _, ov := range o.Operands {
 			if ov == v {
-				found = true
 				return false
 			}
 		}
 		return true
 	})
-	return found
 }
 
 // EnclosingFunc returns the func.func containing the op, or nil.

@@ -21,39 +21,31 @@ func SCFToCF(m *mlir.Module) error {
 	return m.Verify()
 }
 
+// lowerSCFInFunc lowers f's scf ops in one pass over the function's
+// blocks. Lowering an op ends its block with a branch and inserts the op's
+// blocks and the continuation right behind it, so resuming at the next
+// block lowers ops in exactly the order a rescan from the entry block
+// would: nested scf ops surface into the inserted blocks.
 func lowerSCFInFunc(f *mlir.Op) error {
 	region := f.Regions[0]
-	for iter := 0; ; iter++ {
-		if iter > 10000 {
-			return fmt.Errorf("lower: scf-to-cf did not converge")
-		}
-		var target *mlir.Op
-		// Only scan top-level blocks of the function region: nested scf ops
-		// surface into these blocks as outer ones are lowered.
-		for _, b := range region.Blocks {
-			for _, op := range b.Ops {
-				if op.Name == mlir.OpSCFFor || op.Name == mlir.OpSCFIf {
-					target = op
-					break
-				}
+	for bi := 0; bi < len(region.Blocks); bi++ {
+		for _, op := range region.Blocks[bi].Ops {
+			if op.Name != mlir.OpSCFFor && op.Name != mlir.OpSCFIf {
+				continue
 			}
-			if target != nil {
-				break
+			var err error
+			if op.Name == mlir.OpSCFFor {
+				err = lowerSCFFor(op)
+			} else {
+				err = lowerSCFIf(op)
 			}
-		}
-		if target == nil {
-			return nil
-		}
-		var err error
-		if target.Name == mlir.OpSCFFor {
-			err = lowerSCFFor(f, target)
-		} else {
-			err = lowerSCFIf(f, target)
-		}
-		if err != nil {
-			return err
+			if err != nil {
+				return err
+			}
+			break // the rest of the block moved to the continuation
 		}
 	}
+	return nil
 }
 
 // lowerSCFFor rewrites
@@ -66,7 +58,7 @@ func lowerSCFInFunc(f *mlir.Op) error {
 //	header(%iv): %c = cmpi slt %iv,%ub ; cf.cond_br %c, body, cont
 //	body:    ...; %next = addi %iv,%st ; cf.br header(%next)   <- loop attrs
 //	cont:    after
-func lowerSCFFor(f, op *mlir.Op) error {
+func lowerSCFFor(op *mlir.Op) error {
 	blk := op.Block()
 	region := blk.Region()
 	lb, ub, st := op.Operands[0], op.Operands[1], op.Operands[2]
@@ -74,15 +66,16 @@ func lowerSCFFor(f, op *mlir.Op) error {
 	cont := blk.SplitBlock(op)
 	blk.Remove(op) // detach the scf.for itself
 
-	header := mlir.NewBlock(mlir.Index())
+	header := mlir.NewBlock()
 	region.InsertBlockAfter(header, blk)
-	iv := header.Args[0]
 
 	bodyBlk := op.Regions[0].Blocks[0]
 	region.InsertBlockAfter(bodyBlk, header)
-	// The body block keeps its ops; rewire its argument to the header arg.
-	oldIV := bodyBlk.Args[0]
-	mlir.ReplaceAllUses(f, oldIV, iv)
+	// The body block keeps its ops; its induction variable moves to the
+	// header as the header's argument, so none of its uses changes.
+	iv := bodyBlk.Args[0]
+	iv.Owner, iv.ArgNo = header, 0
+	header.Args = []*mlir.Value{iv}
 	bodyBlk.Args = nil
 
 	// before -> header(lb)
@@ -119,7 +112,7 @@ func lowerSCFFor(f, op *mlir.Op) error {
 }
 
 // lowerSCFIf rewrites scf.if into cond_br/then/else/cont blocks.
-func lowerSCFIf(f, op *mlir.Op) error {
+func lowerSCFIf(op *mlir.Op) error {
 	blk := op.Block()
 	region := blk.Region()
 	cond := op.Operands[0]
@@ -144,7 +137,6 @@ func lowerSCFIf(f, op *mlir.Op) error {
 	cbr.SetAttr(mlir.AttrTrueCount, mlir.I(0))
 	cbr.SetAttr(mlir.AttrFalseCount, mlir.I(0))
 	blk.Append(cbr)
-	_ = f
 	return nil
 }
 

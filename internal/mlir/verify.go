@@ -2,7 +2,16 @@ package mlir
 
 import (
 	"fmt"
+	"sync"
 )
+
+// scopeSets recycles the verifier's sets of visible values. The verifier
+// runs after every pass, and a fresh set per call was its largest
+// allocation. Sets of more than maxPooledScope values are dropped instead,
+// so one huge function does not make every later clear costly.
+var scopeSets = sync.Pool{New: func() any { return map[*Value]struct{}{} }}
+
+const maxPooledScope = 1 << 14
 
 // VerifyError describes a structural violation found by Verify.
 type VerifyError struct {
@@ -37,7 +46,13 @@ func verifyFunc(f *Op) []error {
 	}
 
 	// Collect the set of visible values at each op via a scoped walk.
-	scope := map[*Value]bool{}
+	scope := scopeSets.Get().(map[*Value]struct{})
+	defer func() {
+		if len(scope) <= maxPooledScope {
+			clear(scope)
+			scopeSets.Put(scope)
+		}
+	}()
 	var visitRegion func(r *Region)
 
 	visitBlockOps := func(b *Block) {
@@ -50,7 +65,7 @@ func verifyFunc(f *Op) []error {
 					fail(op, "nil operand %d", oi)
 					continue
 				}
-				if !scope[v] {
+				if _, ok := scope[v]; !ok {
 					fail(op, "operand %d does not dominate use", oi)
 				}
 			}
@@ -65,7 +80,7 @@ func verifyFunc(f *Op) []error {
 				visitRegion(r)
 			}
 			for _, res := range op.Results {
-				scope[res] = true
+				scope[res] = struct{}{}
 			}
 		}
 	}
@@ -77,7 +92,7 @@ func verifyFunc(f *Op) []error {
 		if len(r.Blocks) == 1 {
 			b := r.Blocks[0]
 			for _, a := range b.Args {
-				scope[a] = true
+				scope[a] = struct{}{}
 			}
 			visitBlockOps(b)
 			return
@@ -87,11 +102,11 @@ func verifyFunc(f *Op) []error {
 		// separately check CFG properties.
 		for _, b := range r.Blocks {
 			for _, a := range b.Args {
-				scope[a] = true
+				scope[a] = struct{}{}
 			}
 			for _, op := range b.Ops {
 				for _, res := range op.Results {
-					scope[res] = true
+					scope[res] = struct{}{}
 				}
 			}
 		}

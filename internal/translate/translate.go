@@ -104,11 +104,20 @@ func translateFunc(f *mlir.Op, opts Options) (*llvm.Function, error) {
 	entry := mlir.FuncBody(f)
 
 	lf := llvm.NewFunction(name, llvm.Void())
+	// Size the value map for every block argument and op result of the
+	// (flat, cf-level) body.
+	values := 0
+	for _, mb := range f.Regions[0].Blocks {
+		values += len(mb.Args)
+		for _, op := range mb.Ops {
+			values += len(op.Results)
+		}
+	}
 	x := &xlate{
 		opts:    opts,
 		f:       lf,
-		vmap:    map[*mlir.Value]llvm.Value{},
-		bmap:    map[*mlir.Block]*llvm.Block{},
+		vmap:    make(map[*mlir.Value]llvm.Value, values),
+		bmap:    make(map[*mlir.Block]*llvm.Block, len(f.Regions[0].Blocks)),
 		memrefs: map[*mlir.Value]*memrefInfo{},
 	}
 
