@@ -90,19 +90,19 @@ const keyVersion = "incr-v2"
 // rekey on replay). Every field is length-prefixed so no two distinct
 // tuples collide by concatenation.
 func UnitKey(cfg, unit, params, input string) string {
-	h := sha256.New()
-	for _, s := range [...]string{keyVersion, cfg, unit, params} {
-		writeField(h, s)
+	fields := [...]string{keyVersion, cfg, unit, params, input}
+	n := 0
+	for _, s := range fields {
+		n += len(s) + 21
 	}
-	writeField(h, input)
-	return hex.EncodeToString(h.Sum(nil))
-}
-
-func writeField(h interface{ Write([]byte) (int, error) }, s string) {
-	var lenBuf [20]byte
-	h.Write(strconv.AppendInt(lenBuf[:0], int64(len(s)), 10))
-	h.Write([]byte{'|'})
-	h.Write([]byte(s))
+	buf := make([]byte, 0, n)
+	for _, s := range fields {
+		buf = strconv.AppendInt(buf, int64(len(s)), 10)
+		buf = append(buf, '|')
+		buf = append(buf, s...)
+	}
+	sum := sha256.Sum256(buf)
+	return hex.EncodeToString(sum[:])
 }
 
 // MemStore is the in-memory store: a concurrent map from key to record.

@@ -1,6 +1,6 @@
 package llvm
 
-import "fmt"
+import "strconv"
 
 // Builder constructs instructions at the end of a block.
 type Builder struct {
@@ -26,7 +26,7 @@ func (b *Builder) Func() *Function { return b.fn }
 
 // NewName returns a fresh SSA name.
 func (b *Builder) NewName() string {
-	n := fmt.Sprintf("t%d", *b.ctr)
+	n := "t" + strconv.Itoa(*b.ctr)
 	*b.ctr++
 	return n
 }

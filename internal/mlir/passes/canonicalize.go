@@ -49,40 +49,50 @@ func constFloat(v *mlir.Value) (float64, bool) {
 	return fa.Value, ok
 }
 
-// replaceWithConstInt rewrites op's single result with a fresh constant.
-func replaceWithConst(f, op *mlir.Op, attr mlir.Attr) {
+// replaceWithConst records op's single result as replaced by a fresh
+// constant.
+func replaceWithConst(rep mlir.Replacements, op *mlir.Op, attr mlir.Attr) {
 	c := mlir.NewOp(mlir.OpConstant, nil, []*mlir.Type{op.Result(0).Type()})
 	c.SetAttr(mlir.AttrValue, attr)
 	op.Block().InsertBefore(c, op)
-	mlir.ReplaceAllUses(f, op.Result(0), c.Result(0))
+	rep[op.Result(0)] = c.Result(0)
 }
 
-// replaceWithValue redirects op's single result to v.
-func replaceWithValue(f, op *mlir.Op, v *mlir.Value) {
-	mlir.ReplaceAllUses(f, op.Result(0), v)
+// replaceWithValue records op's single result as replaced by v.
+func replaceWithValue(rep mlir.Replacements, op *mlir.Op, v *mlir.Value) {
+	rep[op.Result(0)] = v
 }
 
+// foldOnce folds every foldable op once. The folds' uses are rewritten in
+// one sweep at the end; each op's operands are resolved through the
+// pending replacements before it is folded, so it sees earlier folds as an
+// immediate rewrite would show them.
 func foldOnce(f *mlir.Op) bool {
 	changed := false
+	rep := mlir.Replacements{}
 	mlir.Walk(f, func(op *mlir.Op) bool {
-		if foldOp(f, op) {
+		for i, v := range op.Operands {
+			op.Operands[i] = rep.Resolve(v)
+		}
+		if foldOp(rep, op) {
 			changed = true
 		}
 		return true
 	})
+	mlir.ReplaceUses(f, rep)
 	return changed
 }
 
-func foldOp(f, op *mlir.Op) bool {
+func foldOp(rep mlir.Replacements, op *mlir.Op) bool {
 	switch op.Name {
 	case mlir.OpAddI, mlir.OpSubI, mlir.OpMulI, mlir.OpDivSI, mlir.OpRemSI,
 		mlir.OpMinSI, mlir.OpMaxSI:
-		return foldIntBinary(f, op)
+		return foldIntBinary(rep, op)
 	case mlir.OpAddF, mlir.OpSubF, mlir.OpMulF, mlir.OpDivF:
-		return foldFloatBinary(f, op)
+		return foldFloatBinary(rep, op)
 	case mlir.OpNegF:
 		if x, ok := constFloat(op.Operands[0]); ok {
-			replaceWithConst(f, op, mlir.FloatAttr{Value: -x, Ty: op.Result(0).Type()})
+			replaceWithConst(rep, op, mlir.FloatAttr{Value: -x, Ty: op.Result(0).Type()})
 			return true
 		}
 	case mlir.OpCmpI:
@@ -90,7 +100,7 @@ func foldOp(f, op *mlir.Op) bool {
 		r, rok := constInt(op.Operands[1])
 		if lok && rok {
 			pred, _ := op.StringAttr(mlir.AttrPredicate)
-			replaceWithConst(f, op, mlir.IntAttr{Value: b2i(evalICmp(pred, l, r)), Ty: mlir.I1()})
+			replaceWithConst(rep, op, mlir.IntAttr{Value: b2i(evalICmp(pred, l, r)), Ty: mlir.I1()})
 			return true
 		}
 	case mlir.OpCmpF:
@@ -98,26 +108,26 @@ func foldOp(f, op *mlir.Op) bool {
 		r, rok := constFloat(op.Operands[1])
 		if lok && rok {
 			pred, _ := op.StringAttr(mlir.AttrPredicate)
-			replaceWithConst(f, op, mlir.IntAttr{Value: b2i(evalFCmp(pred, l, r)), Ty: mlir.I1()})
+			replaceWithConst(rep, op, mlir.IntAttr{Value: b2i(evalFCmp(pred, l, r)), Ty: mlir.I1()})
 			return true
 		}
 	case mlir.OpSelect:
 		if c, ok := constInt(op.Operands[0]); ok {
 			if c != 0 {
-				replaceWithValue(f, op, op.Operands[1])
+				replaceWithValue(rep, op, op.Operands[1])
 			} else {
-				replaceWithValue(f, op, op.Operands[2])
+				replaceWithValue(rep, op, op.Operands[2])
 			}
 			return true
 		}
 	case mlir.OpIndexCast:
 		if x, ok := constInt(op.Operands[0]); ok {
-			replaceWithConst(f, op, mlir.IntAttr{Value: x, Ty: op.Result(0).Type()})
+			replaceWithConst(rep, op, mlir.IntAttr{Value: x, Ty: op.Result(0).Type()})
 			return true
 		}
 	case mlir.OpSIToFP:
 		if x, ok := constInt(op.Operands[0]); ok {
-			replaceWithConst(f, op, mlir.FloatAttr{Value: float64(x), Ty: op.Result(0).Type()})
+			replaceWithConst(rep, op, mlir.FloatAttr{Value: float64(x), Ty: op.Result(0).Type()})
 			return true
 		}
 	case mlir.OpAffineApply:
@@ -135,13 +145,13 @@ func foldOp(f, op *mlir.Op) bool {
 		}
 		dims := vals[:m.NumDims]
 		syms := vals[m.NumDims:]
-		replaceWithConst(f, op, mlir.IntAttr{Value: m.Exprs[0].Eval(dims, syms), Ty: mlir.Index()})
+		replaceWithConst(rep, op, mlir.IntAttr{Value: m.Exprs[0].Eval(dims, syms), Ty: mlir.Index()})
 		return true
 	}
 	return false
 }
 
-func foldIntBinary(f, op *mlir.Op) bool {
+func foldIntBinary(rep mlir.Replacements, op *mlir.Op) bool {
 	l, lok := constInt(op.Operands[0])
 	r, rok := constInt(op.Operands[1])
 	ty := op.Result(0).Type()
@@ -169,43 +179,43 @@ func foldIntBinary(f, op *mlir.Op) bool {
 		case mlir.OpMaxSI:
 			v = max64(l, r)
 		}
-		replaceWithConst(f, op, mlir.IntAttr{Value: v, Ty: ty})
+		replaceWithConst(rep, op, mlir.IntAttr{Value: v, Ty: ty})
 		return true
 	}
 	// Algebraic identities.
 	switch op.Name {
 	case mlir.OpAddI:
 		if rok && r == 0 {
-			replaceWithValue(f, op, op.Operands[0])
+			replaceWithValue(rep, op, op.Operands[0])
 			return true
 		}
 		if lok && l == 0 {
-			replaceWithValue(f, op, op.Operands[1])
+			replaceWithValue(rep, op, op.Operands[1])
 			return true
 		}
 	case mlir.OpSubI:
 		if rok && r == 0 {
-			replaceWithValue(f, op, op.Operands[0])
+			replaceWithValue(rep, op, op.Operands[0])
 			return true
 		}
 	case mlir.OpMulI:
 		if rok && r == 1 {
-			replaceWithValue(f, op, op.Operands[0])
+			replaceWithValue(rep, op, op.Operands[0])
 			return true
 		}
 		if lok && l == 1 {
-			replaceWithValue(f, op, op.Operands[1])
+			replaceWithValue(rep, op, op.Operands[1])
 			return true
 		}
 		if (rok && r == 0) || (lok && l == 0) {
-			replaceWithConst(f, op, mlir.IntAttr{Value: 0, Ty: ty})
+			replaceWithConst(rep, op, mlir.IntAttr{Value: 0, Ty: ty})
 			return true
 		}
 	}
 	return false
 }
 
-func foldFloatBinary(f, op *mlir.Op) bool {
+func foldFloatBinary(rep mlir.Replacements, op *mlir.Op) bool {
 	l, lok := constFloat(op.Operands[0])
 	r, rok := constFloat(op.Operands[1])
 	ty := op.Result(0).Type()
@@ -230,7 +240,7 @@ func foldFloatBinary(f, op *mlir.Op) bool {
 		if ty.IsFloat() && ty.Width == 32 {
 			v = float64(float32(v))
 		}
-		replaceWithConst(f, op, mlir.FloatAttr{Value: v, Ty: ty})
+		replaceWithConst(rep, op, mlir.FloatAttr{Value: v, Ty: ty})
 		return true
 	}
 	// x+0, x*1 are exact float identities (no signed-zero subtleties needed
@@ -238,21 +248,21 @@ func foldFloatBinary(f, op *mlir.Op) bool {
 	switch op.Name {
 	case mlir.OpAddF, mlir.OpSubF:
 		if rok && r == 0 {
-			replaceWithValue(f, op, op.Operands[0])
+			replaceWithValue(rep, op, op.Operands[0])
 			return true
 		}
 	case mlir.OpMulF:
 		if rok && r == 1 {
-			replaceWithValue(f, op, op.Operands[0])
+			replaceWithValue(rep, op, op.Operands[0])
 			return true
 		}
 		if lok && l == 1 {
-			replaceWithValue(f, op, op.Operands[1])
+			replaceWithValue(rep, op, op.Operands[1])
 			return true
 		}
 	case mlir.OpDivF:
 		if rok && r == 1 {
-			replaceWithValue(f, op, op.Operands[0])
+			replaceWithValue(rep, op, op.Operands[0])
 			return true
 		}
 	}

@@ -1,9 +1,8 @@
 package passes
 
 import (
-	"fmt"
 	"sort"
-	"strings"
+	"strconv"
 
 	"repro/internal/mlir"
 )
@@ -28,11 +27,15 @@ func cseFunc(f *mlir.Op) error {
 		return nextID
 	}
 
-	key := func(op *mlir.Op) string {
-		var sb strings.Builder
-		sb.WriteString(op.Name)
+	// key appends op's identity (name, operand ids, attributes, result
+	// types) to buf. Lookups index the maps with string(buf), which does
+	// not allocate; only a new entry copies the key.
+	var buf []byte
+	key := func(op *mlir.Op) []byte {
+		buf = append(buf[:0], op.Name...)
 		for _, v := range op.Operands {
-			fmt.Fprintf(&sb, "|%d", id(v))
+			buf = append(buf, '|')
+			buf = strconv.AppendInt(buf, int64(id(v)), 10)
 		}
 		keys := make([]string, 0, len(op.Attrs))
 		for k := range op.Attrs {
@@ -40,12 +43,16 @@ func cseFunc(f *mlir.Op) error {
 		}
 		sort.Strings(keys)
 		for _, k := range keys {
-			sb.WriteString("|" + k + "=" + op.Attrs[k].String())
+			buf = append(buf, '|')
+			buf = append(buf, k...)
+			buf = append(buf, '=')
+			buf = append(buf, op.Attrs[k].String()...)
 		}
 		for _, r := range op.Results {
-			sb.WriteString("|" + r.Type().String())
+			buf = append(buf, '|')
+			buf = append(buf, r.Type().String()...)
 		}
-		return sb.String()
+		return buf
 	}
 
 	// scope is a stack of available-expression maps; entering a nested
@@ -54,28 +61,35 @@ func cseFunc(f *mlir.Op) error {
 		parent *scope
 		exprs  map[string]*mlir.Op
 	}
-	lookup := func(s *scope, k string) (*mlir.Op, bool) {
+	lookup := func(s *scope, k []byte) (*mlir.Op, bool) {
 		for cur := s; cur != nil; cur = cur.parent {
-			if op, ok := cur.exprs[k]; ok {
+			if op, ok := cur.exprs[string(k)]; ok {
 				return op, true
 			}
 		}
 		return nil, false
 	}
 
+	// A deduplicated op's uses are rewritten in one sweep at the end; each
+	// op's operands are resolved through the pending replacements first,
+	// so keys see what an immediate rewrite would have left.
+	rep := mlir.Replacements{}
 	var visitBlock func(b *mlir.Block, s *scope)
 	visitBlock = func(b *mlir.Block, s *scope) {
 		ops := make([]*mlir.Op, len(b.Ops))
 		copy(ops, b.Ops)
 		for _, op := range ops {
+			for i, v := range op.Operands {
+				op.Operands[i] = rep.Resolve(v)
+			}
 			if mlir.IsPure(op) && len(op.Results) == 1 {
 				k := key(op)
 				if prev, ok := lookup(s, k); ok {
-					mlir.ReplaceAllUses(f, op.Result(0), prev.Result(0))
+					rep[op.Result(0)] = prev.Result(0)
 					op.Erase()
 					continue
 				}
-				s.exprs[k] = op
+				s.exprs[string(k)] = op
 			}
 			for _, r := range op.Regions {
 				for _, nb := range r.Blocks {
@@ -93,10 +107,11 @@ func cseFunc(f *mlir.Op) error {
 	// functions get per-block CSE without inheritance.
 	if len(f.Regions[0].Blocks) == 1 {
 		visitBlock(body, &scope{exprs: map[string]*mlir.Op{}})
-		return nil
+	} else {
+		for _, b := range f.Regions[0].Blocks {
+			visitBlock(b, &scope{exprs: map[string]*mlir.Op{}})
+		}
 	}
-	for _, b := range f.Regions[0].Blocks {
-		visitBlock(b, &scope{exprs: map[string]*mlir.Op{}})
-	}
+	mlir.ReplaceUses(f, rep)
 	return nil
 }
