@@ -35,6 +35,15 @@ import (
 	"repro/internal/serve"
 )
 
+// Connection bounds: a client has readHeaderTimeout to send its request
+// headers, and a keep-alive connection idle for idleTimeout is closed, so
+// slow or abandoned clients cannot pin connections. Request bodies are
+// bounded by serve.MaxRequestBytes.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8080", "listen address")
 	store := flag.String("store", "hls-store", "shared store directory (results, incremental units, pending journal)")
@@ -65,7 +74,8 @@ func main() {
 	}
 	fmt.Printf("hls-serve listening on http://%s (store %s)\n", ln.Addr(), *store)
 
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := &http.Server{Handler: srv.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 

@@ -311,3 +311,75 @@ func TestGEPResultElem(t *testing.T) {
 			g.Ty.TypedString())
 	}
 }
+
+// TestReplaceUses covers the one-sweep replacement routine: chains resolve
+// to their end (through instructions as well as parameters), an entry
+// mapping a value to itself changes nothing, entries reach instructions
+// created after they were recorded, and sequential single-value
+// replacements keep their step-by-step result (a three-step swap), which
+// one chained map would not.
+func TestReplaceUses(t *testing.T) {
+	const a, b, c, tmp, in = 0, 1, 2, 3, 4
+	cases := []struct {
+		name  string
+		steps [][][2]int // each step is one ReplaceUses call over {old, new} pairs
+		users [][]int    // operands of the instructions built after the steps are recorded
+		want  [][]int
+	}{
+		{"chain", [][][2]int{{{a, b}, {b, c}}}, [][]int{{a, b}, {c, a}}, [][]int{{c, c}, {c, c}}},
+		{"chain-through-instr", [][][2]int{{{a, in}, {in, c}}}, [][]int{{a, in}}, [][]int{{c, c}}},
+		{"self", [][][2]int{{{a, a}}}, [][]int{{a, b}}, [][]int{{a, b}}},
+		{"self-then-chain", [][][2]int{{{a, a}, {b, a}}}, [][]int{{b, c}}, [][]int{{a, c}}},
+		{"later-instr", [][][2]int{{{a, b}}}, [][]int{{a, a}, {c, b}}, [][]int{{b, b}, {c, b}}},
+		{"swap", [][][2]int{{{a, tmp}}, {{b, a}}, {{tmp, b}}}, [][]int{{a, b}, {b, c}}, [][]int{{b, a}, {a, c}}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			f := NewFunction("f", Void())
+			var vals []Value
+			for _, n := range []string{"a", "b", "c", "tmp"} {
+				p := &Param{Name: n, Ty: I64()}
+				f.Params = append(f.Params, p)
+				vals = append(vals, p)
+			}
+			entry := f.AddBlock("entry")
+			def := entry.Append(&Instr{Op: OpAdd, Name: "in", Ty: I64(), Args: []Value{CI(I64(), 1), CI(I64(), 2)}})
+			vals = append(vals, def)
+			steps := make([]Replacements, len(tc.steps))
+			for i, pairs := range tc.steps {
+				steps[i] = Replacements{}
+				for _, p := range pairs {
+					steps[i][vals[p[0]]] = vals[p[1]]
+				}
+			}
+			var users []*Instr
+			for i, ops := range tc.users {
+				var args []Value
+				for _, o := range ops {
+					args = append(args, vals[o])
+				}
+				users = append(users, entry.Append(&Instr{Op: OpAdd, Name: "u" + string(rune('0'+i)), Ty: I64(), Args: args}))
+			}
+			for _, r := range steps {
+				f.ReplaceUses(r)
+			}
+			for i, u := range users {
+				for j, v := range u.Args {
+					if want := vals[tc.want[i][j]]; v != want {
+						t.Errorf("instr %d operand %d = %s, want %s", i, j, v.Ident(), want.Ident())
+					}
+				}
+			}
+		})
+	}
+}
+
+func TestResolveRejectsCycles(t *testing.T) {
+	x, y := &Param{Name: "x", Ty: I64()}, &Param{Name: "y", Ty: I64()}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a two-value cycle resolved without a panic")
+		}
+	}()
+	Replacements{x: y, y: x}.Resolve(x)
+}

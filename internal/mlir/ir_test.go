@@ -250,3 +250,111 @@ func TestOpNamesUsed(t *testing.T) {
 		t.Errorf("OpNamesUsed = %v", names)
 	}
 }
+
+// TestReplaceUses covers the one-sweep replacement routine: chains resolve
+// to their end, an entry mapping a value to itself changes nothing, entries
+// reach ops created after they were recorded, and sequential single-value
+// replacements (the three-step swap loop interchange performs) keep their
+// step-by-step result, which one chained map would not.
+func TestReplaceUses(t *testing.T) {
+	const a, b, c, tmp = 0, 1, 2, 3
+	cases := []struct {
+		name  string
+		steps [][][2]int // each step is one ReplaceUses call over {old, new} pairs
+		users [][]int    // operands of the ops built after the steps are recorded
+		want  [][]int
+	}{
+		{"chain", [][][2]int{{{a, b}, {b, c}}}, [][]int{{a, b}, {c, a}}, [][]int{{c, c}, {c, c}}},
+		{"self", [][][2]int{{{a, a}}}, [][]int{{a, b}}, [][]int{{a, b}}},
+		{"self-then-chain", [][][2]int{{{a, a}, {b, a}}}, [][]int{{b, c}}, [][]int{{a, c}}},
+		{"later-op", [][][2]int{{{a, b}}}, [][]int{{a, a}, {c, b}}, [][]int{{b, b}, {c, b}}},
+		{"swap", [][][2]int{{{a, tmp}}, {{b, a}}, {{tmp, b}}}, [][]int{{a, b}, {b, c}}, [][]int{{b, a}, {a, c}}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			m := NewModule()
+			f, args := m.AddFunc("f", []*Type{Index(), Index(), Index()}, nil)
+			vals := append(append([]*Value(nil), args...), &Value{Ty: Index()})
+			steps := make([]Replacements, len(tc.steps))
+			for i, pairs := range tc.steps {
+				steps[i] = Replacements{}
+				for _, p := range pairs {
+					steps[i][vals[p[0]]] = vals[p[1]]
+				}
+			}
+			body := FuncBody(f)
+			var users []*Op
+			for _, ops := range tc.users {
+				var operands []*Value
+				for _, o := range ops {
+					operands = append(operands, vals[o])
+				}
+				op := NewOp(OpAddI, operands, []*Type{Index()})
+				body.Append(op)
+				users = append(users, op)
+			}
+			for _, r := range steps {
+				ReplaceUses(f, r)
+			}
+			for i, op := range users {
+				for j, v := range op.Operands {
+					if want := vals[tc.want[i][j]]; v != want {
+						t.Errorf("op %d operand %d = value %d, want %d",
+							i, j, indexOf(vals, v), tc.want[i][j])
+					}
+				}
+			}
+		})
+	}
+}
+
+func indexOf(vals []*Value, v *Value) int {
+	for i, x := range vals {
+		if x == v {
+			return i
+		}
+	}
+	return -1
+}
+
+func TestResolveRejectsCycles(t *testing.T) {
+	x, y := &Value{Ty: Index()}, &Value{Ty: Index()}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a two-value cycle resolved without a panic")
+		}
+	}()
+	Replacements{x: y, y: x}.Resolve(x)
+}
+
+// TestWalkVisitsCopiedOpList checks Walk's copy-before-visit contract on
+// both sides of the stack buffer: erasing the visited op and inserting new
+// ones neither skips an original op nor visits an inserted one.
+func TestWalkVisitsCopiedOpList(t *testing.T) {
+	for _, n := range []int{3, walkBuf, walkBuf + 9} {
+		m := NewModule()
+		f, _ := m.AddFunc("f", nil, nil)
+		body := FuncBody(f)
+		b := NewBuilder(body)
+		orig := map[*Op]bool{}
+		for i := 0; i < n; i++ {
+			orig[b.ConstantIndex(int64(i)).Def] = true
+		}
+		visited := 0
+		Walk(f, func(op *Op) bool {
+			if op == f {
+				return true
+			}
+			if !orig[op] {
+				t.Fatalf("n=%d: visited an op inserted during the walk", n)
+			}
+			visited++
+			body.InsertBefore(NewOp(OpConstant, nil, []*Type{Index()}), op)
+			op.Erase()
+			return true
+		})
+		if visited != n {
+			t.Errorf("n=%d: visited %d ops", n, visited)
+		}
+	}
+}

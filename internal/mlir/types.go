@@ -7,6 +7,7 @@ package mlir
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"sync"
@@ -167,6 +168,23 @@ func (t *Type) NumElements() int64 {
 		n *= d
 	}
 	return n
+}
+
+// CheckedNumElements is NumElements with overflow detection: ok is false
+// when the type has no static shape, a dimension is negative, or the
+// product of the dimensions does not fit in an int64.
+func (t *Type) CheckedNumElements() (n int64, ok bool) {
+	if !t.HasStaticShape() {
+		return 0, false
+	}
+	n = 1
+	for _, d := range t.Shape {
+		if d < 0 || d > 0 && n > math.MaxInt64/d {
+			return 0, false
+		}
+		n *= d
+	}
+	return n, true
 }
 
 // Equal reports structural type equality.

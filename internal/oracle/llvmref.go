@@ -57,6 +57,9 @@ func NewFromLLVM(ref *llvm.Module, top string, shapes []*mlir.Type) (*Harness, e
 			return nil, fmt.Errorf("oracle: shape %d is not a static memref", i)
 		}
 	}
+	if err := mlir.CheckMemBudget(shapes...); err != nil {
+		return nil, fmt.Errorf("oracle: arguments of @%s: %w", top, err)
+	}
 	h := &Harness{Top: top, MaxULP: DefaultMaxULP, Fuel: mlir.DefaultFuel, shapes: shapes}
 	f := ref.FindFunc(top)
 	if f == nil {

@@ -116,6 +116,9 @@ func New(m *mlir.Module, top string) (*Harness, error) {
 		}
 		h.shapes = append(h.shapes, t)
 	}
+	if err := mlir.CheckMemBudget(h.shapes...); err != nil {
+		return nil, fmt.Errorf("oracle: arguments of %q: %w", top, err)
+	}
 	bufs := h.freshMLIRBufs()
 	if err := m.InterpretWithFuel(top, h.Fuel, bufs...); err != nil {
 		return nil, fmt.Errorf("oracle: reference execution: %w", err)

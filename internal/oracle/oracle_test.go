@@ -197,3 +197,48 @@ corrupted:
 		t.Errorf("corruption must classify as miscompile, got %v", err)
 	}
 }
+
+// TestHugeMemRefRefused: a client-declared shape past the interpreter's
+// memory budget, as an argument or as a memref.alloc in the body, is an
+// ordinary error returned before anything is allocated, not a panic, an
+// out-of-memory kill or a miscompile verdict.
+func TestHugeMemRefRefused(t *testing.T) {
+	huge := mlir.MemRef([]int64{1000000000, 1000000000}, mlir.F32())
+	overflow := mlir.MemRef([]int64{1 << 40, 1 << 40}, mlir.F32())
+	small := mlir.MemRef([]int64{4}, mlir.F32())
+	argModule := func(ty *mlir.Type) *mlir.Module {
+		m := mlir.NewModule()
+		f, _ := m.AddFunc("k", []*mlir.Type{ty}, nil)
+		mlir.NewBuilder(mlir.FuncBody(f)).Return()
+		return m
+	}
+	allocModule := func(ty *mlir.Type) *mlir.Module {
+		m := mlir.NewModule()
+		f, _ := m.AddFunc("k", []*mlir.Type{small}, nil)
+		b := mlir.NewBuilder(mlir.FuncBody(f))
+		b.Create(mlir.OpAlloc, nil, []*mlir.Type{ty})
+		b.Return()
+		return m
+	}
+	cases := []struct {
+		name string
+		m    *mlir.Module
+	}{
+		{"argument", argModule(huge)},
+		{"overflowing argument", argModule(overflow)},
+		{"alloc", allocModule(huge)},
+		{"overflowing alloc", allocModule(overflow)},
+	}
+	for _, tc := range cases {
+		_, err := New(tc.m, "k")
+		if !errors.Is(err, mlir.ErrMemBudget) {
+			t.Errorf("%s: err = %v, want the memory budget error", tc.name, err)
+		}
+		if IsMiscompile(err) {
+			t.Errorf("%s: a budget refusal counts as a miscompile", tc.name)
+		}
+	}
+	if _, err := NewFromLLVM(llvm.NewModule("m"), "k", []*mlir.Type{huge}); !errors.Is(err, mlir.ErrMemBudget) {
+		t.Errorf("NewFromLLVM: err = %v, want the memory budget error", err)
+	}
+}

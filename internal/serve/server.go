@@ -394,14 +394,36 @@ func (s *Server) writeAdmissionError(w http.ResponseWriter, client string, kind 
 	}
 }
 
+// MaxRequestBytes bounds a request body. A longer body is refused with 413
+// while it is read, so a client cannot make the daemon buffer an unbounded
+// kernel text.
+const MaxRequestBytes = 8 << 20
+
+// decodeRequest decodes r's JSON body, of at most MaxRequestBytes, into v.
+// On failure it answers 413 (body too large) or 400 (malformed) itself and
+// returns false.
+func decodeRequest(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxRequestBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeJSON(w, http.StatusRequestEntityTooLarge,
+			map[string]string{"err": fmt.Sprintf("request body exceeds %d bytes", MaxRequestBytes)})
+		return false
+	}
+	writeJSON(w, http.StatusBadRequest, map[string]string{"err": "bad json: " + err.Error()})
+	return false
+}
+
 func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		s.writeAdmissionError(w, "", "", ErrDraining)
 		return
 	}
 	var req EvalRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"err": "bad json: " + err.Error()})
+	if !decodeRequest(w, r, &req) {
 		return
 	}
 	in, err := buildInput(req.Kernel, req.Size, req.MLIR, req.Top)
@@ -453,8 +475,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req SweepRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"err": "bad json: " + err.Error()})
+	if !decodeRequest(w, r, &req) {
 		return
 	}
 	in, err := buildInput(req.Kernel, req.Size, req.MLIR, req.Top)

@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -142,6 +143,61 @@ func TestEvalBadRequests(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("malformed json: status %d, want 400", resp.StatusCode)
+	}
+	t.Run("oversized body", testOversizedBody)
+}
+
+// testOversizedBody: a body past MaxRequestBytes is refused with 413 on
+// both endpoints, and the daemon then serves a good request byte-identically
+// to a daemon that never saw the oversized one.
+func testOversizedBody(t *testing.T) {
+	good := EvalRequest{Kernel: "gemm", Size: "MINI"}
+	readAll := func(resp *http.Response) []byte {
+		t.Helper()
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("good request: status %d: %s", resp.StatusCode, b)
+		}
+		return b
+	}
+	_, ref := newTestServer(t, Config{})
+	want := readAll(postJSON(t, ref.URL+"/v1/eval", good))
+
+	_, ts := newTestServer(t, Config{})
+	huge := EvalRequest{Top: "k", MLIR: strings.Repeat(" ", MaxRequestBytes)}
+	for _, path := range []string{"/v1/eval", "/v1/sweep"} {
+		resp := postJSON(t, ts.URL+path, huge)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s oversized body: status %d, want 413", path, resp.StatusCode)
+		}
+	}
+	if got := readAll(postJSON(t, ts.URL+"/v1/eval", good)); !bytes.Equal(got, want) {
+		t.Errorf("good request after an oversized one:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestEvalVerifyHugeMemRef: a verify request whose kernel declares a
+// memref past the interpreter's memory budget is answered promptly with
+// 422 and an ordinary error, not a miscompile and not a crash.
+func TestEvalVerifyHugeMemRef(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	src := `module {
+  func.func @k(%arg0: memref<1000000000x1000000000xf32>) {
+    func.return
+  }
+}`
+	resp := postJSON(t, ts.URL+"/v1/eval", EvalRequest{MLIR: src, Top: "k", Verify: true})
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("status %d, want 422", resp.StatusCode)
+	}
+	out := decodeEval(t, resp)
+	if !strings.Contains(out.Err, "interpreter budget") || strings.Contains(out.Err, "MISCOMPILE") {
+		t.Errorf("err = %q, want the memory budget error", out.Err)
 	}
 }
 
